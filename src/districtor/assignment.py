@@ -57,12 +57,11 @@ class CostModel:
 
     def int_costs(self, points: np.ndarray, center_positions: np.ndarray) -> np.ndarray:
         """Integer cost matrix between points (n, 2) and centers (k, 2)."""
-        diff = points[:, None, :] - center_positions[None, :, :]
-        d2 = np.einsum("nkc,nkc->nk", diff, diff)
-        scaled = d2 * (self.scale / (self.diameter * self.diameter))
-        if scaled.size and (
-            not np.all(np.isfinite(scaled)) or float(np.abs(scaled).max()) >= 2.0**62
-        ):
+        dx = points[:, 0, None] - center_positions[None, :, 0]
+        dy = points[:, 1, None] - center_positions[None, :, 1]
+        scaled = (dx * dx + dy * dy) * (self.scale / (self.diameter * self.diameter))
+        # scaled is nonnegative; NaN and inf fail the comparison too
+        if scaled.size and not float(scaled.max()) < 2.0**62:
             raise flow.OverflowRiskError(
                 "scaled costs exceed the exact integer range; lower the cost scaling"
             )
@@ -84,7 +83,6 @@ class ScaledSolveResult:
 
     assignment: BalancedAssignment
     weights: PowerWeights  # original squared-distance units, min-normalized to 0
-    weights_int: np.ndarray  # solver demand potentials (integer cost units)
     objective_scaled: int
     cost_model: CostModel
     flow_solution: flow.FlowSolution
@@ -116,7 +114,6 @@ def solve_balanced(
     return ScaledSolveResult(
         assignment=asg,
         weights=weights,
-        weights_int=sol.demand_potentials,
         objective_scaled=sol.objective,
         cost_model=model,
         flow_solution=sol,
@@ -182,9 +179,8 @@ def verify_power_consistency(
     assigned = power[np.arange(len(asg.persons)), asg.center_indices]
     margins = assigned - best
     bad = np.flatnonzero(margins > tolerance)
-    ids = inst.block_ids()
     violations = tuple(
-        (ids[int(asg.block_indices[e])], int(asg.center_indices[e]), float(margins[e]))
+        (inst.ids[int(asg.block_indices[e])], int(asg.center_indices[e]), float(margins[e]))
         for e in bad
     )
     return ConsistencyReport(

@@ -155,73 +155,77 @@ class _Report:
         return ok
 
 
-def _load_result_set(out_dir: Path):
+# A result set is outside input: a malformed file or summary field ends in a
+# clean exit 1. DataError, ModelError and AssignmentError are ValueErrors;
+# TypeError and OverflowError come from summary fields of the wrong JSON
+# type or an integer beyond int64.
+_INPUT_ERRORS = (ValueError, TypeError, OverflowError, OSError)
+
+
+def _load_diagram(out_dir: Path):
+    """The summary, blocks, centers and weights of a result set, plus the
+    per-center populations that centers.csv reports."""
     summary = dataio.read_summary_json(out_dir / "summary.json")
     for key in ("k", "m", "scale", "threshold", "final_cost", "converged"):
         if key not in summary:
             raise DataError(f"summary.json: missing key {key!r}")
     inst = dataio.read_blocks(out_dir / "blocks.csv", k=int(summary["k"]))
     positions, weights, capacities, populations = dataio.read_centers_csv(out_dir / "centers.csv")
-    asg_rows = dataio.read_assignment_csv(out_dir / "assignment.csv")
-    trace_rows = dataio.read_trace_csv(out_dir / "trace.csv")
-    cells_payload = dataio.read_cells_json(out_dir / "cells.json")
-    return summary, inst, (positions, weights, capacities, populations), asg_rows, trace_rows, cells_payload
+    centers = CenterSet(positions=positions, capacities=capacities)
+    return summary, inst, centers, weights, populations
 
 
 def cmd_validate(args) -> int:
     out_dir = Path(args.dir)
     try:
-        summary, inst, center_data, asg_rows, trace_rows, cells_payload = _load_result_set(out_dir)
-    except (DataError, ModelError, OSError) as exc:
+        summary, inst, centers, weights, populations = _load_diagram(out_dir)
+        k = inst.k
+        policy = ScaledCostPolicy(scale=float(summary["scale"]))
+        threshold = float(summary["threshold"])
+        final_cost = float(summary["final_cost"])
+        asg_rows = dataio.read_assignment_csv(out_dir / "assignment.csv")
+        trace_rows = dataio.read_trace_csv(out_dir / "trace.csv")
+        cells_payload = dataio.read_cells_json(out_dir / "cells.json")
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    positions, weights, capacities, populations = center_data
     report = _Report()
-    k = int(summary["k"])
 
+    index_of = {bid: i for i, bid in enumerate(inst.ids)}
     structural = report.check(
         "result-set structure",
-        positions.shape[0] == k
+        centers.k == k
         and all(p > 0 for _, _, p in asg_rows)
         and all(0 <= c < k for _, c, _ in asg_rows)
-        and {bid for bid, _, _ in asg_rows} <= set(inst.block_ids()),
+        and all(bid in index_of for bid, _, _ in asg_rows),
         f"k={k}, {len(asg_rows)} assignment rows",
     )
     if not structural:
         print("validation failed")
         return EXIT_VALIDATION
 
-    index_of = {bid: i for i, bid in enumerate(inst.block_ids())}
-    bi = np.array([index_of[bid] for bid, _, _ in asg_rows], dtype=np.int64)
-    ci = np.array([c for _, c, _ in asg_rows], dtype=np.int64)
-    persons = np.array([p for _, _, p in asg_rows], dtype=np.int64)
-
-    assigned_per_block = np.zeros(inst.n_blocks, dtype=np.int64)
-    np.add.at(assigned_per_block, bi, persons)
-    pops = inst.populations()
-    report.check(
-        "conservation per block",
-        bool(np.array_equal(assigned_per_block, pops)),
-        f"total persons {int(persons.sum())} of {inst.m}",
+    asg = BalancedAssignment(
+        block_indices=[index_of[bid] for bid, _, _ in asg_rows],
+        center_indices=[c for _, c, _ in asg_rows],
+        persons=[p for _, _, p in asg_rows],
     )
-
-    totals = np.zeros(k, dtype=np.int64)
-    np.add.at(totals, ci, persons)
-    balanced = bool(np.array_equal(totals, capacities))
-    report.check(
+    conserved = report.check(
+        "conservation per block",
+        bool(np.array_equal(asg.per_block_assigned(inst.n_blocks), inst.populations())),
+        f"total persons {int(asg.persons.sum())} of {inst.m}",
+    )
+    totals = asg.per_center_population(k)
+    balanced = report.check(
         "balance per center (exact)",
-        balanced,
-        f"max deviation {int(np.abs(totals - capacities).max())}",
+        bool(np.array_equal(totals, centers.capacities)),
+        f"max deviation {int(np.abs(totals - centers.capacities).max())}",
     )
     report.check(
         "per-center populations in centers.csv",
         bool(np.array_equal(totals, populations)),
     )
 
-    asg = BalancedAssignment(block_indices=bi, center_indices=ci, persons=persons)
-    centers = CenterSet(positions=positions, capacities=capacities)
-    model = cost_model_for(inst, ScaledCostPolicy(scale=float(summary["scale"])))
-
+    model = cost_model_for(inst, policy)
     consistency = verify_power_consistency(
         inst, centers, asg, weights, tolerance=model.consistency_tolerance()
     )
@@ -232,12 +236,9 @@ def cmd_validate(args) -> int:
         f"tolerance {consistency.tolerance:g}",
     )
 
-    centroids = dataio.per_center_centroids(inst, asg, k)
-    centroid_tol = max(
-        float(summary["threshold"]),
-        2.0 * model.diameter / math.sqrt(float(summary["scale"])),
-    )
-    drift = np.sqrt(((centroids - positions) ** 2).sum(axis=1))
+    centroids = asg.centroids(inst, k)
+    centroid_tol = max(threshold, 2.0 * model.diameter / math.sqrt(policy.scale))
+    drift = np.sqrt(((centroids - centers.positions) ** 2).sum(axis=1))
     report.check(
         "centroid condition",
         bool(np.all(drift <= centroid_tol)),
@@ -266,9 +267,8 @@ def cmd_validate(args) -> int:
                 break
     report.check("cells.json matches recomputed diagram", rings_ok)
 
-    recomputed = assignment_cost(inst, centers, asg) if balanced else float("nan")
-    final_cost = float(summary["final_cost"])
-    cost_ok = balanced and math.isclose(recomputed, final_cost, rel_tol=1e-6, abs_tol=1e-12)
+    recomputed = assignment_cost(inst, centers, asg) if conserved and balanced else float("nan")
+    cost_ok = math.isclose(recomputed, final_cost, rel_tol=1e-6, abs_tol=1e-12)
     report.check(
         "final cost reproducible",
         cost_ok,
@@ -289,13 +289,11 @@ def cmd_validate(args) -> int:
 def cmd_stats(args) -> int:
     out_dir = Path(args.dir)
     try:
-        summary = dataio.read_summary_json(out_dir / "summary.json")
-        inst = dataio.read_blocks(out_dir / "blocks.csv", k=int(summary["k"]))
-        positions, weights, capacities, _ = dataio.read_centers_csv(out_dir / "centers.csv")
-    except (DataError, ModelError, OSError) as exc:
+        summary, inst, centers, weights, _ = _load_diagram(out_dir)
+        final_cost = float(summary["final_cost"])
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    centers = CenterSet(positions=positions, capacities=capacities)
     frame = geometry.default_frame(inst.locations())
     stats = geometry.diagram_stats(geometry.compute_cells(centers, weights, frame))
     print(
@@ -304,7 +302,7 @@ def cmd_stats(args) -> int:
     )
     print(
         f"converged={str(bool(summary.get('converged'))).lower()} "
-        f"final_cost={float(summary['final_cost']):.6g}"
+        f"final_cost={final_cost:.6g}"
     )
     print(
         f"nonempty cells: {stats.nonempty_cells}, average internal sides: "

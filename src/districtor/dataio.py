@@ -20,7 +20,6 @@ import numpy as np
 from .geometry import ConvexCell
 from .model import (
     BalancedAssignment,
-    Block,
     CenterSet,
     Instance,
     Point2,
@@ -39,18 +38,22 @@ class DataError(ValueError):
     """Malformed input data, reported with file and line context."""
 
 
-def project(lon: float, lat: float, reference_parallel: float) -> Point2:
-    """Equirectangular projection of one lon/lat degree pair to km.
+def project(lon, lat, reference_parallel: float) -> Point2:
+    """Equirectangular projection of lon/lat degrees to km.
 
-    x = R * lon_rad * cos(reference_parallel), y = R * lat_rad. Distances
-    are faithful near the reference parallel and degrade with latitude span.
+    x = R * lon_rad * cos(reference_parallel), y = R * lat_rad. ``lon`` and
+    ``lat`` are scalars or equal-shape arrays; the result holds scalars or
+    arrays to match. Distances are faithful near the reference parallel and
+    degrade with latitude span.
     """
-    if abs(lat) >= MAX_ABS_LATITUDE:
-        raise DataError(f"latitude {lat} out of range (|lat| < {MAX_ABS_LATITUDE})")
+    lat = np.asarray(lat, dtype=np.float64)
+    bad = np.abs(lat) >= MAX_ABS_LATITUDE
+    if bad.any():
+        raise DataError(f"latitude {lat[bad][0]} out of range (|lat| < {MAX_ABS_LATITUDE})")
     scale_x = math.cos(math.radians(reference_parallel))
     return Point2(
-        EARTH_RADIUS_KM * math.radians(lon) * scale_x,
-        EARTH_RADIUS_KM * math.radians(lat),
+        EARTH_RADIUS_KM * np.radians(lon) * scale_x,
+        EARTH_RADIUS_KM * np.radians(lat),
     )
 
 
@@ -107,22 +110,18 @@ def read_blocks(path: str | Path, k: int, lonlat: bool = False, name: str | None
     if not rows:
         raise DataError(f"{path}: no data rows")
 
+    ids, xs, ys, pops = zip(*rows)
     if lonlat:
-        lats = [r[2] for r in rows]
-        lat0 = sum(lats) / len(lats)
-        blocks = []
-        for block_id, lon, lat, pop in rows:
-            try:
-                loc = project(lon, lat, lat0)
-            except DataError as exc:
-                raise DataError(f"{path}: block {block_id!r}: {exc}") from None
-            blocks.append(Block(id=block_id, location=loc, population=pop))
-    else:
-        blocks = [
-            Block(id=block_id, location=Point2(cx, cy), population=pop)
-            for block_id, cx, cy, pop in rows
-        ]
-    return Instance(blocks=tuple(blocks), k=k, name=name if name is not None else path.stem)
+        # The sequential Python mean, not np.mean: the reference parallel,
+        # and with it every projected coordinate, must not change bits.
+        lat0 = sum(ys) / len(ys)
+        try:
+            xs, ys = project(xs, ys, lat0)
+        except DataError as exc:
+            bad = int(np.argmax(np.abs(ys) >= MAX_ABS_LATITUDE))
+            raise DataError(f"{path}: block {ids[bad]!r}: {exc}") from None
+    name = name if name is not None else path.stem
+    return Instance(ids=ids, locations=np.column_stack((xs, ys)), populations=pops, k=k, name=name)
 
 
 @dataclass(frozen=True)
@@ -163,16 +162,20 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
     blocks_path = out / "blocks.csv"
     with open(blocks_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(PLANAR_HEADER) + "\n")
-        for b in inst.blocks:
-            fh.write(f"{b.id},{_fmt(b.location.x)},{_fmt(b.location.y)},{b.population}\n")
+        for block_id, (x, y), pop in zip(
+            inst.ids, inst.locations().tolist(), inst.populations().tolist()
+        ):
+            fh.write(f"{block_id},{x!r},{y!r},{pop}\n")
     paths["blocks"] = blocks_path
 
-    ids = inst.block_ids()
+    ids = inst.ids
     asg_path = out / "assignment.csv"
     with open(asg_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("block_id,center_index,persons_assigned\n")
-        for bi, ci, p in zip(asg.block_indices, asg.center_indices, asg.persons):
-            fh.write(f"{ids[int(bi)]},{int(ci)},{int(p)}\n")
+        for bi, ci, p in zip(
+            asg.block_indices.tolist(), asg.center_indices.tolist(), asg.persons.tolist()
+        ):
+            fh.write(f"{ids[bi]},{ci},{p}\n")
     paths["assignment"] = asg_path
 
     populations = asg.per_center_population(centers.k)
@@ -210,7 +213,7 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
             )
     paths["trace"] = trace_path
 
-    centroids = per_center_centroids(inst, asg, centers.k)
+    centroids = asg.centroids(inst, centers.k)
     summary = {
         "instance": inst.name,
         "k": centers.k,
@@ -256,82 +259,61 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
     return paths
 
 
-def per_center_centroids(inst: Instance, asg: BalancedAssignment, k: int) -> np.ndarray:
-    locs = inst.locations()[asg.block_indices]
-    w = asg.persons.astype(np.float64)
-    sums = np.zeros((k, 2), dtype=np.float64)
-    np.add.at(sums, asg.center_indices, locs * w[:, None])
-    counts = asg.per_center_population(k).astype(np.float64)
-    counts[counts == 0] = np.nan
-    return sums / counts[:, None]
-
-
 # -- result-set readers (used by validate and stats) ------------------------
 
 
-def read_assignment_csv(path: str | Path) -> list[tuple[str, int, int]]:
-    rows: list[tuple[str, int, int]] = []
+def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
+    """``parse`` applied to each nonempty data row; a wrong header or a row
+    that ``parse`` rejects fails with its line number."""
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["block_id", "center_index", "persons_assigned"]:
-            raise DataError(f"{path}: unexpected header {header}")
+        found = next(reader, None)
+        if found != header:
+            raise DataError(f"{path}: unexpected header {found}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                rows.append((row[0], int(row[1]), int(row[2])))
+                rows.append(parse(row))
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: malformed row") from None
     return rows
+
+
+def read_assignment_csv(path: str | Path) -> list[tuple[str, int, int]]:
+    return _read_csv_rows(
+        path,
+        ["block_id", "center_index", "persons_assigned"],
+        lambda row: (row[0], int(row[1]), int(row[2])),
+    )
 
 
 def read_centers_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (positions, weights, capacities, populations)."""
-    pos: list[list[float]] = []
-    weights: list[float] = []
-    caps: list[int] = []
-    pops: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "x", "y", "weight", "capacity", "population"]:
-            raise DataError(f"{path}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if int(row[0]) != len(pos):
-                    raise ValueError
-                pos.append([float(row[1]), float(row[2])])
-                weights.append(float(row[3]))
-                caps.append(int(row[4]))
-                pops.append(int(row[5]))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: malformed row") from None
+    rows = _read_csv_rows(
+        path,
+        ["index", "x", "y", "weight", "capacity", "population"],
+        lambda row: (
+            int(row[0]), float(row[1]), float(row[2]), float(row[3]), int(row[4]), int(row[5])
+        ),
+    )
+    if [r[0] for r in rows] != list(range(len(rows))):
+        raise DataError(f"{path}: center indices do not run 0, 1, ... in order")
     return (
-        np.array(pos, dtype=np.float64).reshape(-1, 2),
-        np.array(weights, dtype=np.float64),
-        np.array(caps, dtype=np.int64),
-        np.array(pops, dtype=np.int64),
+        np.array([r[1:3] for r in rows], dtype=np.float64).reshape(-1, 2),
+        np.array([r[3] for r in rows], dtype=np.float64),
+        np.array([r[4] for r in rows], dtype=np.int64),
+        np.array([r[5] for r in rows], dtype=np.int64),
     )
 
 
 def read_trace_csv(path: str | Path) -> list[tuple[int, float, int, float]]:
-    rows: list[tuple[int, float, int, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["iteration", "cost", "cost_scaled", "max_displacement"]:
-            raise DataError(f"{path}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((int(row[0]), float(row[1]), int(row[2]), float(row[3])))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: malformed row") from None
-    return rows
+    return _read_csv_rows(
+        path,
+        ["iteration", "cost", "cost_scaled", "max_displacement"],
+        lambda row: (int(row[0]), float(row[1]), int(row[2]), float(row[3])),
+    )
 
 
 def read_summary_json(path: str | Path) -> dict:

@@ -100,11 +100,7 @@ def centroid_step(inst: Instance, asg: BalancedAssignment) -> CenterSet:
     if np.any(counts < 1):
         empty = int(np.flatnonzero(counts < 1)[0])
         raise ModelError(f"internal invariant failure: center {empty} has no residents")
-    locs = inst.locations()[asg.block_indices]
-    w = asg.persons.astype(np.float64)
-    sums = np.zeros((k, 2), dtype=np.float64)
-    np.add.at(sums, asg.center_indices, locs * w[:, None])
-    return CenterSet(positions=sums / counts[:, None].astype(np.float64), capacities=counts)
+    return CenterSet(positions=asg.centroids(inst, k), capacities=counts)
 
 
 def _guarded_positions(
@@ -118,19 +114,16 @@ def _guarded_positions(
     asg = res.assignment
     model = res.cost_model
     locs = inst.locations()[asg.block_indices]
-    persons = asg.persons
-    out = current.positions.copy()
-    for x in range(current.k):
-        sel = asg.center_indices == x
-        if not np.any(sel):
-            continue
-        pts = locs[sel]
-        w = persons[sel]
-        old = model.int_costs(pts, current.positions[x : x + 1])[:, 0]
-        new = model.int_costs(pts, candidate.positions[x : x + 1])[:, 0]
-        if int(np.dot(w, new)) < int(np.dot(w, old)):
-            out[x] = candidate.positions[x]
-    return out
+    entries = np.arange(len(asg.persons))
+
+    def cost_per_center(positions: np.ndarray) -> np.ndarray:
+        own = model.int_costs(locs, positions)[entries, asg.center_indices]
+        totals = np.zeros(current.k, dtype=np.int64)
+        np.add.at(totals, asg.center_indices, asg.persons * own)
+        return totals
+
+    accept = cost_per_center(candidate.positions) < cost_per_center(current.positions)
+    return np.where(accept[:, None], candidate.positions, current.positions)
 
 
 def run(

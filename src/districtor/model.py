@@ -1,13 +1,18 @@
 """Core domain types: blocks, instances, center sets, assignments, traces.
 
-All types are immutable value data and safe to share across threads.
-Coordinates are dimensionless planar units (projection happens in
-:mod:`districtor.dataio` before an Instance is built).
+An :class:`Instance` is columnar: block ids, an (n, 2) location array and
+an (n,) population array, validated together when it is built.
+:class:`Block` is the per-record view of one row, used by
+``Instance.from_blocks`` and ``Instance.blocks``. All types are immutable
+value data and safe to share across threads. Coordinates are
+dimensionless planar units (projection happens in :mod:`districtor.dataio`
+before an Instance is built).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,65 +62,86 @@ class Block:
         object.__setattr__(self, "location", loc)
 
 
-@dataclass(frozen=True)
 class Instance:
-    """A districting problem: blocks plus the requested number of districts."""
+    """A districting problem: blocks as columns plus the number of districts.
 
-    blocks: tuple[Block, ...]
-    k: int
-    name: str = ""
+    Holds the block ids (a tuple of str), a read-only (n, 2) float64 array
+    of locations and a read-only (n,) int64 array of populations, all in
+    file order. The constructor validates every block at once; instances
+    are not modified after construction.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if self.k < 1:
-            raise ModelError(f"k must be >= 1, got {self.k}")
-        seen: set[str] = set()
-        total = 0
-        for b in self.blocks:
-            if b.id in seen:
-                raise ModelError(f"duplicate block id {b.id!r}")
-            seen.add(b.id)
-            total += b.population
-        if total < self.k:
+    def __init__(self, ids, locations, populations, k: int, name: str = "") -> None:
+        ids = tuple(ids)
+        n = len(ids)
+        locs = np.array(locations, dtype=np.float64)
+        pops = np.asarray(populations)
+        if locs.shape != (n, 2) or pops.shape != (n,):
             raise ModelError(
-                f"total population {total} is smaller than k={self.k}; "
+                f"{n} block ids need (n, 2) locations and (n,) populations, "
+                f"got {locs.shape} and {pops.shape}"
+            )
+        if n and pops.dtype.kind not in "iu":
+            raise ModelError(f"populations must be integers, got dtype {pops.dtype}")
+        if len(set(ids)) != n:
+            dup = next(i for i, count in Counter(ids).items() if count > 1)
+            raise ModelError(f"duplicate block id {dup!r}")
+        pops = pops.astype(np.int64)
+        bad = ~np.isfinite(locs).all(axis=1)
+        if bad.any():
+            raise ModelError(f"block {ids[bad.argmax()]!r}: non-finite coordinates")
+        if (pops < 0).any():
+            raise ModelError(f"block {ids[(pops < 0).argmax()]!r}: negative population")
+        if k < 1:
+            raise ModelError(f"k must be >= 1, got {k}")
+        m = sum(pops.tolist())  # exact: an int64 sum could wrap around
+        if m > np.iinfo(np.int64).max:
+            raise ModelError(f"total population {m} exceeds the 64-bit integer range")
+        if m < k:
+            raise ModelError(
+                f"total population {m} is smaller than k={k}; "
                 "every district needs at least one resident"
             )
-        object.__setattr__(self, "_m", total)
-        object.__setattr__(self, "_locations", None)
-        object.__setattr__(self, "_populations", None)
+        locs.setflags(write=False)
+        pops.setflags(write=False)
+        self.ids = ids
+        self._locations = locs
+        self._populations = pops
+        self.k = k
+        self.name = name
+        self.m = m  # total population
+
+    @classmethod
+    def from_blocks(cls, blocks, k: int, name: str = "") -> Instance:
+        """Build an instance from validated :class:`Block` records."""
+        blocks = tuple(blocks)
+        locations = np.reshape([b.location for b in blocks], (-1, 2))
+        return cls([b.id for b in blocks], locations, [b.population for b in blocks], k, name)
 
     @property
-    def m(self) -> int:
-        """Total population."""
-        return self._m  # type: ignore[attr-defined]
+    def blocks(self) -> tuple[Block, ...]:
+        """The blocks as :class:`Block` records, built on each access."""
+        return tuple(
+            Block(id=i, location=Point2(x, y), population=p)
+            for i, (x, y), p in zip(
+                self.ids, self._locations.tolist(), self._populations.tolist()
+            )
+        )
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.ids)
 
     def locations(self) -> np.ndarray:
         """Block locations as a read-only (n, 2) float64 array, in file order."""
-        cached = self._locations  # type: ignore[attr-defined]
-        if cached is None:
-            cached = np.array(
-                [[b.location.x, b.location.y] for b in self.blocks], dtype=np.float64
-            ).reshape(-1, 2)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_locations", cached)
-        return cached
+        return self._locations
 
     def populations(self) -> np.ndarray:
         """Block populations as a read-only (n,) int64 array, in file order."""
-        cached = self._populations  # type: ignore[attr-defined]
-        if cached is None:
-            cached = np.array([b.population for b in self.blocks], dtype=np.int64)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_populations", cached)
-        return cached
+        return self._populations
 
     def block_ids(self) -> list[str]:
-        return [b.id for b in self.blocks]
+        return list(self.ids)
 
 
 @dataclass(frozen=True)
@@ -147,9 +173,6 @@ class CenterSet:
     def k(self) -> int:
         return int(self.positions.shape[0])
 
-    def point(self, i: int) -> Point2:
-        return Point2(float(self.positions[i, 0]), float(self.positions[i, 1]))
-
     def validate_for(self, inst: Instance) -> None:
         if self.k != inst.k:
             raise ModelError(f"center set has k={self.k}, instance expects k={inst.k}")
@@ -168,7 +191,7 @@ class BalancedAssignment:
     (block index, center index).
     """
 
-    block_indices: np.ndarray  # (e,) int64, indices into Instance.blocks
+    block_indices: np.ndarray  # (e,) int64, row indices into the Instance columns
     center_indices: np.ndarray  # (e,) int64
     persons: np.ndarray  # (e,) int64, all positive
 
@@ -187,15 +210,6 @@ class BalancedAssignment:
         for arr in (self.block_indices, self.center_indices, self.persons):
             arr.setflags(write=False)
 
-    def flows(self, inst: Instance) -> dict[tuple[str, int], int]:
-        """Flow map keyed by (block id, center index)."""
-        ids = inst.block_ids()
-        out: dict[tuple[str, int], int] = {}
-        for b, c, p in zip(self.block_indices, self.center_indices, self.persons):
-            key = (ids[int(b)], int(c))
-            out[key] = out.get(key, 0) + int(p)
-        return out
-
     def per_center_population(self, k: int) -> np.ndarray:
         out = np.zeros(k, dtype=np.int64)
         np.add.at(out, self.center_indices, self.persons)
@@ -205,6 +219,17 @@ class BalancedAssignment:
         out = np.zeros(n_blocks, dtype=np.int64)
         np.add.at(out, self.block_indices, self.persons)
         return out
+
+    def centroids(self, inst: Instance, k: int) -> np.ndarray:
+        """(k, 2) flow-weighted mean location of each center's residents; NaN
+        for a center with none."""
+        locs = inst.locations()[self.block_indices]
+        w = self.persons.astype(np.float64)
+        sums = np.zeros((k, 2), dtype=np.float64)
+        np.add.at(sums, self.center_indices, locs * w[:, None])
+        counts = self.per_center_population(k).astype(np.float64)
+        counts[counts == 0] = np.nan
+        return sums / counts[:, None]
 
     def validate(self, inst: Instance, centers: CenterSet) -> None:
         """Check conservation per block and exact balance per center."""
@@ -222,7 +247,7 @@ class BalancedAssignment:
         if not np.array_equal(assigned, pops):
             bad = int(np.flatnonzero(assigned != pops)[0])
             raise ModelError(
-                f"block {inst.blocks[bad].id!r}: assigned {int(assigned[bad])} persons, "
+                f"block {inst.ids[bad]!r}: assigned {int(assigned[bad])} persons, "
                 f"population is {int(pops[bad])}"
             )
         totals = self.per_center_population(centers.k)

@@ -15,7 +15,7 @@ def make_instance(locs, pops, k: int, name: str = "test") -> Instance:
         Block(id=f"b{i:06d}", location=Point2(float(x), float(y)), population=p)
         for i, ((x, y), p) in enumerate(zip(locs, pops))
     )
-    return Instance(blocks=blocks, k=k, name=name)
+    return Instance.from_blocks(blocks, k=k, name=name)
 
 
 def distribute_population(rng: np.random.Generator, n: int, m: int) -> np.ndarray:

@@ -130,6 +130,32 @@ class TestSolve:
         assert c3 <= c1
 
 
+def _set_summary(key, value):
+    def edit(text):
+        summary = json.loads(text)
+        summary[key] = value
+        return json.dumps(summary)
+
+    return edit
+
+
+def _plus_five(value):
+    return str(int(value) + 5)
+
+
+def _set_center_field(column, change):
+    """Rewrite one field of the first center row."""
+
+    def edit(text):
+        lines = text.splitlines()
+        fields = lines[1].split(",")
+        fields[column] = change(fields[column])
+        lines[1] = ",".join(fields)
+        return "\n".join(lines) + "\n"
+
+    return edit
+
+
 @pytest.fixture
 def solved_dir(tmp_path):
     blocks = tmp_path / "blocks.csv"
@@ -190,6 +216,41 @@ class TestValidate:
     def test_corrupt_summary(self, solved_dir):
         (solved_dir / "summary.json").write_text("{not json", encoding="utf-8")
         assert main(["validate", "--dir", str(solved_dir)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "command, fname, edit",
+        [
+            pytest.param("validate", "summary.json", _set_summary("scale", 0), id="zero-scale"),
+            *(
+                pytest.param(command, fname, edit, id=f"{command}-{name}")
+                for command in ("validate", "stats")
+                for name, fname, edit in (
+                    ("k-not-a-number", "summary.json", _set_summary("k", "three")),
+                    ("capacity-plus-5", "centers.csv", _set_center_field(4, _plus_five)),
+                    ("nan-center", "centers.csv", _set_center_field(1, lambda v: "nan")),
+                )
+            ),
+        ],
+    )
+    def test_bad_result_set_is_input_error(self, solved_dir, capsys, command, fname, edit):
+        path = solved_dir / fname
+        path.write_text(edit(path.read_text()), encoding="utf-8")
+        assert main([command, "--dir", str(solved_dir)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_person_moved_within_center_fails_conservation(self, solved_dir, capsys):
+        asg = solved_dir / "assignment.csv"
+        lines = asg.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        donor = next(r for r in rows if int(r[2]) > 1)
+        receiver = next(r for r in rows if r[1] == donor[1] and r[0] != donor[0])
+        donor[2] = str(int(donor[2]) - 1)
+        receiver[2] = str(int(receiver[2]) + 1)
+        asg.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n", encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "FAIL conservation per block" in out
+        assert "PASS balance per center (exact)" in out
 
 
 class TestStats:

@@ -114,6 +114,25 @@ class TestProjection:
         with pytest.raises(DataError):
             project(0.0, 89.5, 0.0)
 
+    def test_read_blocks_projects_each_row_exactly(self, tmp_path):
+        rng = np.random.default_rng(7)
+        lons = rng.uniform(-88.0, -84.0, size=40).tolist()
+        lats = rng.uniform(31.5, 33.0, size=40).tolist()
+        rows = [f"b{i},{lon!r},{lat!r},1" for i, (lon, lat) in enumerate(zip(lons, lats))]
+        p = tmp_path / "blocks.csv"
+        write_csv(p, rows, header="block_id,lon,lat,population")
+        locs = read_blocks(p, k=1, lonlat=True).locations()
+        lat0 = sum(lats) / len(lats)
+        for i, (lon, lat) in enumerate(zip(lons, lats)):
+            assert np.array_equal(locs[i], np.array(project(lon, lat, lat0)))
+
+    def test_out_of_range_latitude_in_csv_names_block(self, tmp_path):
+        p = tmp_path / "blocks.csv"
+        header = "block_id,lon,lat,population"
+        write_csv(p, ["a,-86.0,32.0,1", "polar,-86.0,89.5,1"], header=header)
+        with pytest.raises(DataError, match=r"block 'polar'.*latitude 89.5 out of range"):
+            read_blocks(p, k=1, lonlat=True)
+
     def test_distance_ratios_match_haversine_state_extent(self, tmp_path):
         # a state-sized box: 1.5 degrees of latitude, 4 degrees of longitude
         rng = np.random.default_rng(31)
@@ -224,6 +243,14 @@ class TestWriteOutputs:
         centers = CenterSet(positions=positions, capacities=capacities)
         recomputed = assignment_cost(again, centers, asg)
         assert recomputed == pytest.approx(summary["final_cost"], rel=1e-6)
+
+    def test_centers_out_of_order_rejected(self, tmp_path):
+        _, _, _, paths = small_run(tmp_path)
+        lines = paths["centers"].read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        paths["centers"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="center indices"):
+            dataio.read_centers_csv(paths["centers"])
 
     def test_trace_roundtrip(self, tmp_path):
         _, result, _, paths = small_run(tmp_path)

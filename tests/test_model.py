@@ -100,7 +100,7 @@ class TestInstanceValidation:
             Block(id="a", location=Point2(1, 0), population=1),
         )
         with pytest.raises(ModelError):
-            Instance(blocks=blocks, k=1)
+            Instance.from_blocks(blocks, k=1)
 
     def test_population_below_k(self):
         with pytest.raises(ModelError):
@@ -109,6 +109,50 @@ class TestInstanceValidation:
     def test_m_sums_blocks(self):
         inst = make_instance([(0, 0), (1, 1)], [3, 4], k=2)
         assert inst.m == 7
+
+
+class TestColumnarInstance:
+    @pytest.mark.parametrize(
+        "ids, locations, populations, message",
+        [
+            (["a", "a"], [(0.0, 0.0), (1.0, 0.0)], [1, 1], "duplicate block id 'a'"),
+            (["a", "b"], [(0.0, 0.0), (float("nan"), 0.0)], [1, 1], "'b': non-finite"),
+            (["a", "b"], [(0.0, 0.0), (1.0, 0.0)], [2, -1], "'b': negative population"),
+            (["a", "b"], [(0.0, 0.0), (1.0, 0.0)], [1.0, 2.0], "must be integers"),
+            (["a", "b"], [(0.0, 0.0)], [1, 1], r"need \(n, 2\) locations"),
+            (["a", "b"], [(0.0, 0.0), (1.0, 0.0)], [1], r"\(n,\) populations"),
+            (["a", "b"], [(0.0, 0.0), (1.0, 0.0)], [2**62, 2**62], "exceeds the 64-bit"),
+        ],
+        ids=[
+            "duplicate-id", "nan-location", "negative", "float", "short-locations", "short-pops",
+            "total-overflows",
+        ],
+    )
+    def test_rejects_invalid_columns(self, ids, locations, populations, message):
+        with pytest.raises(ModelError, match=message):
+            Instance(ids=ids, locations=locations, populations=populations, k=1)
+
+    def test_columns_are_read_only(self):
+        inst = Instance(
+            ids=["a", "b"], locations=[(0.0, 0.0), (1.0, 2.0)], populations=[3, 4], k=2
+        )
+        assert inst.m == 7 and inst.n_blocks == 2
+        assert inst.block_ids() == ["a", "b"]
+        with pytest.raises(ValueError):
+            inst.locations()[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            inst.populations()[0] = 5
+
+    def test_from_blocks_matches_columns(self):
+        blocks = (
+            Block(id="a", location=Point2(0.5, -1.0), population=3),
+            Block(id="b", location=Point2(2.0, 4.0), population=0),
+        )
+        inst = Instance.from_blocks(blocks, k=1, name="two")
+        assert inst.blocks == blocks
+        assert inst.locations().tolist() == [[0.5, -1.0], [2.0, 4.0]]
+        assert inst.populations().tolist() == [3, 0]
+        assert inst.name == "two"
 
 
 class TestCenterSet:
