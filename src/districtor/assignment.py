@@ -57,8 +57,14 @@ class CostModel:
 
     def int_costs(self, points: np.ndarray, center_positions: np.ndarray) -> np.ndarray:
         """Integer cost matrix between points (n, 2) and centers (k, 2)."""
-        dx = points[:, 0, None] - center_positions[None, :, 0]
-        dy = points[:, 1, None] - center_positions[None, :, 1]
+        return self.paired_costs(points[:, None, :], center_positions[None, :, :])
+
+    def paired_costs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Integer costs between the points of a and b, (..., 2) arrays that
+        broadcast against each other; every cost has the same bits as the
+        matching entry of ``int_costs``."""
+        dx = a[..., 0] - b[..., 0]
+        dy = a[..., 1] - b[..., 1]
         scaled = (dx * dx + dy * dy) * (self.scale / (self.diameter * self.diameter))
         # scaled is nonnegative; NaN and inf fail the comparison too
         if scaled.size and not float(scaled.max()) < 2.0**62:
@@ -69,12 +75,8 @@ class CostModel:
 
 
 def cost_model_for(inst: Instance, policy: ScaledCostPolicy) -> CostModel:
-    locs = inst.locations()
-    span = locs.max(axis=0) - locs.min(axis=0)
-    diag = float(math.hypot(float(span[0]), float(span[1])))
-    if diag == 0.0:
-        diag = 1.0  # all blocks coincide; distances are absolute
-    return CostModel(diameter=diag, scale=policy.scale)
+    # coincident blocks have no diameter; distances are then absolute
+    return CostModel(diameter=inst.diameter or 1.0, scale=policy.scale)
 
 
 @dataclass(frozen=True)

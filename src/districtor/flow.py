@@ -1,20 +1,33 @@
 """Exact minimum-cost solver for dense bipartite transshipment instances.
 
-Successive shortest paths with node potentials, specialized to instances
-with many supply nodes and few demand nodes (blocks vs. district centers).
-Flow starts from a greedy reduced-cost assignment and is repaired by
-augmenting along shortest paths in a compact demand-node graph whose arc
-(a, b) carries the cheapest relocation of one flow unit from demand node a
-to demand node b. Relocation costs per ordered pair are kept in lazily
-pruned heaps, so one augmentation costs O(k log n) instead of a scan of
-all supply nodes.
+Specialized to instances with many supply nodes and few demand nodes
+(blocks vs. district centers). A solve runs in three steps:
+
+1. Dual sweeps. The demand potentials maximize a concave k-dimensional
+   dual. Gauss-Seidel sweeps of exact coordinate ascent, in numpy, set each
+   potential in turn to the weighted quantile at which the supply nodes
+   that prefer its node hold its demand. They start from the given
+   potentials and stop once the greedy start, every supply node at its
+   cheapest demand node, overfills by at most 1/32 of an average demand, or
+   when a sweep does not lower that overfill.
+2. Repair. Successive shortest paths with node potentials move the
+   remaining overfill from the greedy start, augmenting along shortest
+   paths in a compact demand-node graph whose arc (a, b) carries the
+   cheapest relocation of one flow unit from demand node a to demand node
+   b. Relocation costs per ordered pair are kept in lazily pruned heaps, so
+   one augmentation costs O(k log n) heap work plus O(k^2) queue peeks
+   instead of a scan of all supply nodes.
+3. Certification. :func:`certify` re-checks conservation, the objective,
+   dual feasibility and complementary slackness of the result.
 
 All arithmetic is on Python integers or int64 arrays, so the optimality
-certificate, dual feasibility plus complementary slackness, holds exactly.
+certificate holds exactly. :class:`SolveStats` counts the work of each
+solve.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from dataclasses import dataclass
 
@@ -23,6 +36,12 @@ import numpy as np
 # Feasible objectives must stay clear of int64; reject instances that could
 # overflow sum(flow * cost).
 _SAFE_OBJECTIVE = 2**62
+
+# Dual sweeps stop once the greedy start overfills its demand nodes by at
+# most 1/_SWEEP_STOP of an average demand. The constant balances the numpy
+# work of one more sweep (n*k entries) against the augmentations it saves
+# (k*k queue peeks each); it was set from augmentation counts, not timings.
+_SWEEP_STOP = 32
 
 
 class FlowError(ValueError):
@@ -92,6 +111,22 @@ class TransshipmentInstance:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """Deterministic work counts of one solve.
+
+    ``excess_before`` and ``excess_after`` are the total overfill of the
+    greedy start (every block at its cheapest center under the potentials)
+    before and after the dual sweeps.
+    """
+
+    augmentations: int = 0
+    reprices: int = 0
+    sweeps: int = 0
+    excess_before: int = 0
+    excess_after: int = 0
+
+
+@dataclass(frozen=True)
 class FlowSolution:
     """Integral optimal flow plus exact dual potentials.
 
@@ -106,6 +141,7 @@ class FlowSolution:
     supply_potentials: np.ndarray  # (n,) int64
     demand_potentials: np.ndarray  # (k,) int64
     objective: int
+    stats: SolveStats = SolveStats()
 
 
 def solve_mcf(
@@ -153,6 +189,108 @@ def certify(inst: TransshipmentInstance, sol: FlowSolution) -> None:
         raise FlowError("certificate: complementary slackness violated")
 
 
+def _greedy(Ca: np.ndarray, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each supply row's cheapest demand node under potentials v (lowest
+    index on ties), and the amount each demand node receives."""
+    choice = np.argmin(Ca - v[np.newaxis, :], axis=1)
+    received = np.zeros(v.shape[0], dtype=np.int64)
+    np.add.at(received, choice, s)
+    return choice, received
+
+
+def _first_reaching(keys: np.ndarray, w: np.ndarray, need: int) -> int:
+    """Smallest key at which the weight of the keys up to it reaches need.
+
+    Requires 0 < need <= w.sum(). Only the smallest keys are sorted: enough
+    of them to carry about twice the needed weight, doubled until they do.
+    """
+    total = len(keys)
+    j = min(total, 2 * (need * total // int(w.sum())) + 16)
+    while True:
+        part = np.argpartition(keys, j - 1)[:j] if j < total else np.arange(total)
+        part = part[np.argsort(keys[part])]
+        cum = np.cumsum(w[part])
+        if cum[-1] >= need:
+            return int(keys[part[np.searchsorted(cum, need)]])
+        j = min(total, 2 * j)
+
+
+def _quantile(t: np.ndarray, s: np.ndarray, d: int, cur: int) -> int:
+    """Smallest t* with s[t <= t*].sum() >= d, searched on the side of cur
+    that must move. Tied entries in any order give the same value."""
+    if d == 0:
+        return int(t.min())
+    below = t < cur
+    held = int(s[below].sum())
+    if held >= d:  # too much prefers this node strictly: lower the threshold
+        return -_first_reaching(-t[below], s[below], held - d + 1)
+    above = t > cur
+    short = d - (int(s.sum()) - int(s[above].sum()))
+    if short <= 0:
+        return cur
+    return _first_reaching(t[above], s[above], short)
+
+
+def _sweep(Ca: np.ndarray, s: np.ndarray, demands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One Gauss-Seidel pass of exact coordinate ascent on the dual.
+
+    In turn, v[x] becomes the quantile at which the rows that prefer x, that
+    is C[y, x] - v[x] below their best other reduced cost, hold demands[x].
+    The result is normalized to max(v) = 0, which keeps every intermediate
+    within int64 for potentials spread up to 2**62.
+    """
+    v = v - v.max()
+    k = v.shape[0]
+    # after[:, x]: cheapest reduced cost over nodes x.. at the old potentials
+    after = np.minimum.accumulate((Ca - v[np.newaxis, :])[:, ::-1], axis=1)[:, ::-1]
+    before = None  # cheapest reduced cost over nodes ..x-1 at the new potentials
+    for x in range(k):
+        if x == k - 1:
+            rest = before
+        elif before is None:
+            rest = after[:, x + 1]
+        else:
+            rest = np.minimum(before, after[:, x + 1])
+        col = Ca[:, x]
+        v[x] = _quantile(col - rest, s, int(demands[x]), int(v[x]))
+        own = col - v[x]
+        before = own if before is None else np.minimum(before, own)
+    return v - v.max()
+
+
+def _dual_sweeps(
+    C: np.ndarray, supplies: np.ndarray, demands: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveStats]:
+    """Improve the potentials by dual sweeps, then build the greedy start.
+
+    Sweeps stop once the greedy start overfills its demand nodes by at most
+    total / (_SWEEP_STOP * k), or when a sweep does not lower that excess
+    (its potentials are then dropped). Returns the potentials, each supply
+    node's greedy demand node (-1 when it has no supply), the amounts
+    received and the sweep counts.
+    """
+    k = v.shape[0]
+    active = np.flatnonzero(supplies > 0)
+    Ca = C[active]
+    s = supplies[active]
+    total = int(s.sum())
+    choice, received = _greedy(Ca, s, v)
+    excess = before = int(np.maximum(received - demands, 0).sum())
+    sweeps = 0
+    while excess * _SWEEP_STOP * k > total:
+        trial = _sweep(Ca, s, demands, v)
+        sweeps += 1
+        t_choice, t_received = _greedy(Ca, s, trial)
+        t_excess = int(np.maximum(t_received - demands, 0).sum())
+        if t_excess >= excess:
+            break
+        v, choice, received, excess = trial, t_choice, t_received, t_excess
+    base = np.full(C.shape[0], -1, dtype=np.int64)
+    base[active] = choice
+    stats = SolveStats(sweeps=sweeps, excess_before=before, excess_after=excess)
+    return v, base, received, stats
+
+
 class _PairQueue:
     """Min-queue of packed (increment, supply index) keys for one ordered
     demand-node pair: a sorted numpy backbone built once, plus a small
@@ -194,7 +332,8 @@ class _PairQueue:
 
 
 class _Solver:
-    """Successive shortest paths on the demand-node residual graph.
+    """Successive shortest paths on the demand-node residual graph, from
+    the greedy start under dual-swept potentials.
 
     State invariant: every positive-flow arc (y, x) minimizes
     C[y, x'] - v[x'] over x'. Augmenting only along arcs that are tight
@@ -216,8 +355,6 @@ class _Solver:
                 raise FlowError("warm potentials must have one entry per demand node")
             if v0.size and int(np.abs(v0).max()) > 2**61:
                 raise OverflowRiskError("warm potentials too large for exact arithmetic")
-        self.v: list[int] = [int(x) for x in v0]
-
         # Pack heap entries as increment * _pack + supply index so plain int
         # heaps order by (increment, index). Keys must fit int64 during the
         # vectorized build.
@@ -229,22 +366,19 @@ class _Solver:
                 "lower the cost scaling"
             )
 
-        supplies = inst.supplies
-        active = np.flatnonzero(supplies > 0)
-        base_np = np.full(n, -1, dtype=np.int64)
-        if active.size:
-            choice = np.argmin(self.C[active] - v0[np.newaxis, :], axis=1)
-            base_np[active] = choice
-        received_np = np.zeros(k, dtype=np.int64)
-        if active.size:
-            np.add.at(received_np, base_np[active], supplies[active])
+        v0, base_np, received_np, self.sweep_stats = _dual_sweeps(
+            self.C, inst.supplies, inst.demands, v0
+        )
+        self.v = v0.tolist()
 
         # base[y]: the single center holding block y's whole flow, or -1 when
         # y is inactive or split across centers (then see self.split).
         self.base: list[int] = base_np.tolist()
-        self.base_amt: list[int] = np.where(base_np >= 0, supplies, 0).tolist()
+        self.base_amt: list[int] = np.where(base_np >= 0, inst.supplies, 0).tolist()
         self.split: dict[int, dict[int, int]] = {}
         self.received: list[int] = received_np.tolist()
+        self.augmentations = 0
+        self.reprices = 0
 
         # queues[a][b]: packed (C[y, b] - C[y, a], y) entries over members y
         # of a. Entries for departed members are pruned lazily on peek.
@@ -354,6 +488,7 @@ class _Solver:
 
     def _dijkstra_reprice(self) -> None:
         """Reprice potentials so a tight path reaches some deficit node."""
+        self.reprices += 1
         k = self.k
         v = self.v
         demands = self.inst.demands
@@ -466,6 +601,7 @@ class _Solver:
             theta = min(theta, self._hop_capacity(a, b, theta))
         if theta <= 0:
             raise FlowError("internal: empty push")
+        self.augmentations += 1
         pack = self._pack
         for a, b in zip(path, path[1:]):
             target = self.v[b] - self.v[a]
@@ -493,10 +629,7 @@ class _Solver:
 
     def run(self) -> None:
         demands = self.inst.demands
-        excess0 = sum(
-            max(r - int(d), 0) for r, d in zip(self.received, demands)
-        )
-        guard = excess0 + self.k + 8
+        guard = self.sweep_stats.excess_after + self.k + 8
         while True:
             while True:
                 path = self._find_tight_path()
@@ -511,22 +644,15 @@ class _Solver:
             self._dijkstra_reprice()
 
     def solution(self) -> FlowSolution:
-        ys: list[int] = []
-        xs: list[int] = []
-        amts: list[int] = []
-        for y, bx in enumerate(self.base):
-            if bx >= 0:
-                ys.append(y)
-                xs.append(bx)
-                amts.append(self.base_amt[y])
-        for y, flows in self.split.items():
-            for x, amt in flows.items():
-                ys.append(y)
-                xs.append(x)
-                amts.append(amt)
-        supply_idx = np.array(ys, dtype=np.int64)
-        demand_idx = np.array(xs, dtype=np.int64)
-        amounts = np.array(amts, dtype=np.int64)
+        base = np.array(self.base, dtype=np.int64)
+        whole = np.flatnonzero(base >= 0)
+        parts = np.array(
+            [(y, x, amt) for y, flows in self.split.items() for x, amt in flows.items()],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        supply_idx = np.concatenate([whole, parts[:, 0]])
+        demand_idx = np.concatenate([base[whole], parts[:, 1]])
+        amounts = np.concatenate([np.array(self.base_amt, dtype=np.int64)[whole], parts[:, 2]])
         order = np.lexsort((demand_idx, supply_idx))
         supply_idx = supply_idx[order]
         demand_idx = demand_idx[order]
@@ -538,6 +664,9 @@ class _Solver:
         v = np.array([x - vmin for x in self.v], dtype=np.int64)
         z = (self.C - v[np.newaxis, :]).min(axis=1)
         objective = int(np.dot(amounts, self.C[supply_idx, demand_idx]))
+        stats = dataclasses.replace(
+            self.sweep_stats, augmentations=self.augmentations, reprices=self.reprices
+        )
         return FlowSolution(
             supply_idx=supply_idx,
             demand_idx=demand_idx,
@@ -545,4 +674,5 @@ class _Solver:
             supply_potentials=z,
             demand_potentials=v,
             objective=objective,
+            stats=stats,
         )

@@ -112,17 +112,20 @@ def _guarded_positions(
     """Per center, accept the centroid only if the scaled integer cost of the
     fixed assignment strictly drops; otherwise keep the current position."""
     asg = res.assignment
-    model = res.cost_model
-    locs = inst.locations()[asg.block_indices]
-    entries = np.arange(len(asg.persons))
+    sol = res.flow_solution
+    # The certified duals are tight on every positive-flow arc, so the cost
+    # of an entry at its current center is exactly u[block] + v[center].
+    now = sol.supply_potentials[asg.block_indices] + sol.demand_potentials[asg.center_indices]
+    moved = res.cost_model.paired_costs(
+        inst.locations()[asg.block_indices], candidate.positions[asg.center_indices]
+    )
 
-    def cost_per_center(positions: np.ndarray) -> np.ndarray:
-        own = model.int_costs(locs, positions)[entries, asg.center_indices]
+    def cost_per_center(own: np.ndarray) -> np.ndarray:
         totals = np.zeros(current.k, dtype=np.int64)
         np.add.at(totals, asg.center_indices, asg.persons * own)
         return totals
 
-    accept = cost_per_center(candidate.positions) < cost_per_center(current.positions)
+    accept = cost_per_center(moved) < cost_per_center(now)
     return np.where(accept[:, None], candidate.positions, current.positions)
 
 

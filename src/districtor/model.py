@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import cached_property
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,6 +132,14 @@ class Instance:
     @property
     def n_blocks(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def diameter(self) -> float:
+        """Diagonal of the blocks' bounding box (0.0 when all coincide),
+        computed on first use."""
+        locs = self._locations
+        span = locs.max(axis=0) - locs.min(axis=0)
+        return float(math.hypot(float(span[0]), float(span[1])))
 
     def locations(self) -> np.ndarray:
         """Block locations as a read-only (n, 2) float64 array, in file order."""

@@ -1,8 +1,11 @@
-"""Independent brute-force references used by the test suite.
+"""Independent references used by the test suite.
 
-Everything here solves by direct enumeration of the definitions, with no
-shared machinery with the production solver, so it can serve as an oracle.
-Not exposed through the CLI.
+The brute-force references solve by direct enumeration of the definitions,
+for a handful of persons and centers. ``linprog_transport`` and
+``network_simplex_transport`` hand the same transshipment to two outside
+solvers, scipy's HiGHS and networkx's network simplex, for instances of
+hundreds of blocks. None of them shares machinery with the production
+solver, so each can serve as an oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import BalancedAssignment, CenterSet, Instance, Point2
+from districtor.model import BalancedAssignment, CenterSet, Instance, Point2
 
 MAX_ORACLE_PERSONS = 10
 MAX_ORACLE_CENTERS = 3
@@ -61,6 +64,49 @@ def brute_force_transport(costs, supplies, demands) -> int:
         return out
 
     return best(0, demand)
+
+
+def linprog_transport(costs, supplies, demands) -> tuple[float, np.ndarray]:
+    """Optimal objective and demand duals of a dense transshipment, by HiGHS.
+
+    The duals follow the production convention, u[y] + v[x] <= costs[y, x],
+    and are unique only up to a constant shared with the supply duals.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array, vstack
+
+    c = np.asarray(costs, dtype=np.float64)
+    n, k = c.shape
+    arcs = np.arange(n * k)
+    ones = np.ones(n * k)
+    by_supply = csr_array((ones, (arcs // k, arcs)), shape=(n, n * k))
+    by_demand = csr_array((ones, (arcs % k, arcs)), shape=(k, n * k))
+    res = linprog(
+        c.reshape(-1),
+        A_eq=vstack([by_supply, by_demand]),
+        b_eq=np.concatenate([supplies, demands]).astype(np.float64),
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise ValueError(f"linprog failed: {res.message}")
+    return float(res.fun), np.asarray(res.eqlin.marginals[n:])
+
+
+def network_simplex_transport(costs, supplies, demands) -> int:
+    """Exact integer optimum of a dense transshipment, by network simplex."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    for y, s in enumerate(supplies):
+        g.add_node(("s", y), demand=-int(s))
+    for x, d in enumerate(demands):
+        g.add_node(("d", x), demand=int(d))
+    for y, row in enumerate(np.asarray(costs).tolist()):
+        for x, cost in enumerate(row):
+            g.add_edge(("s", y), ("d", x), weight=cost)
+    cost, _ = nx.network_simplex(g)
+    return int(cost)
 
 
 def brute_force_balanced(inst: Instance, centers: CenterSet) -> tuple[BalancedAssignment, float]:

@@ -19,13 +19,13 @@ from districtor.assignment import (
 from districtor.cli import EXIT_OK, main
 from districtor.lloyd import LloydConfig, run
 from districtor.model import assignment_cost, balanced_capacities
-from districtor.oracle import brute_force_balanced, swap_heuristic
 from tests.conftest import (
     gaussian_instance,
     hexagon_instance,
     random_small_instance,
     uniform_instance,
 )
+from tests.oracle import brute_force_balanced, swap_heuristic
 
 POLICY = ScaledCostPolicy()
 

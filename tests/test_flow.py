@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from districtor import flow
-from districtor.oracle import brute_force_transport
+from tests.oracle import brute_force_transport
 
 
 def random_instance(rng, max_side=6, max_supply=3, max_cost=100, allow_negative=False):

@@ -1,0 +1,124 @@
+"""solve_mcf against two outside solvers on instances of hundreds of blocks.
+
+Costs come from the production cost model on generated block geometry,
+with the degenerate cases built on purpose: exact cost ties on an integer
+grid, zero populations, a block larger than a district, as many districts
+as populated blocks, centers far outside the blocks, and warm potentials
+at the edge of the accepted range. Every solve must be certified and match
+network simplex's integer optimum and HiGHS's objective; HiGHS's duals must
+certify the same flow, which pins the demand duals up to a constant on
+every connected part of the flow.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from districtor import flow
+from districtor.assignment import ScaledCostPolicy, cost_model_for
+from districtor.model import balanced_capacities
+from tests.conftest import distribute_population, make_instance
+from tests.oracle import linprog_transport, network_simplex_transport
+
+pytest.importorskip("scipy")
+pytest.importorskip("networkx")
+
+KS = (2, 7, 23, 53)
+KINDS = ("plain", "grid", "zeros", "heavy", "tight")
+WARM = ("cold", "warm", "random", "edge")
+
+
+def _transshipment(seed: int, k: int, kind: str, far: float = 0.0):
+    """Costs between n blocks and k centers, with the block populations as
+    supplies and balanced capacities as demands."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 501))
+    if kind == "grid":  # many coincident blocks and exactly tied costs
+        locs = rng.integers(0, 12, size=(n, 2)).astype(np.float64)
+    else:
+        locs = rng.normal(0.0, 30.0, size=(n, 2)) + rng.uniform(0.0, 100.0, size=(4, 2))[
+            rng.integers(0, 4, size=n)
+        ]
+    m = 40 * n
+    pops = distribute_population(rng, n, m)
+    if kind == "zeros":
+        pops[rng.random(n) < 0.4] = 0
+    elif kind == "heavy":  # one block holds more than a district
+        pops[int(rng.integers(0, n))] += 2 * m // k
+    elif kind == "tight":  # as many districts as populated blocks
+        pops[:] = 0
+        pops[rng.choice(n, size=k, replace=False)] = rng.integers(1, 60, size=k)
+    inst = make_instance(locs, pops, k)
+    if kind == "grid":
+        positions = rng.integers(0, 12, size=(k, 2)).astype(np.float64)
+    else:
+        positions = locs[rng.choice(n, size=k, replace=False)] + rng.normal(0.0, 2.0, (k, 2))
+    if far:  # push every center the given number of diameters away
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=k)
+        offset = far * inst.diameter * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        positions = positions + offset
+    model = cost_model_for(inst, ScaledCostPolicy())
+    costs = model.int_costs(inst.locations(), positions)
+    return flow.TransshipmentInstance(
+        costs=costs, supplies=inst.populations(), demands=balanced_capacities(inst.m, k)
+    )
+
+
+def _warm_potentials(inst: flow.TransshipmentInstance, how: str, seed: int):
+    rng = np.random.default_rng(seed)
+    k = inst.n_demand
+    if how == "cold":
+        return None
+    if how == "warm":  # the optimum of nearby costs, as in a Lloyd iteration
+        nudged = inst.costs + rng.integers(0, 2_000_000, size=inst.costs.shape)
+        near = flow.TransshipmentInstance(nudged, inst.supplies, inst.demands)
+        return flow.solve_mcf(near).demand_potentials
+    if how == "random":
+        return rng.integers(-(10**12), 10**12, size=k)
+    return rng.choice(np.array([-(2**61), 2**61], dtype=np.int64), size=k)
+
+
+def _check_against_oracles(inst: flow.TransshipmentInstance, warm) -> flow.FlowSolution:
+    sol = flow.solve_mcf(inst, warm_potentials=warm)
+    flow.certify(inst, sol)
+    costs, supplies, demands = inst.costs, inst.supplies, inst.demands
+    assert sol.objective == network_simplex_transport(costs, supplies, demands)
+    lp_objective, lp_v = linprog_transport(costs, supplies, demands)
+    assert abs(lp_objective - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
+    # Any optimal dual is complementary to any optimal flow: HiGHS's duals,
+    # which are integral at a vertex, certify this flow too.
+    v = np.rint(lp_v).astype(np.int64)
+    assert np.allclose(lp_v, v, rtol=0.0, atol=1e-3)
+    u = (costs - v[np.newaxis, :]).min(axis=1)
+    flow.certify(inst, dataclasses.replace(sol, supply_potentials=u, demand_potentials=v))
+    return sol
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_matches_outside_solvers(k, kind):
+    seed = 1000 * k + KINDS.index(kind)
+    inst = _transshipment(seed, k, kind)
+    # each pair of k and kind meets one start; every k meets every start
+    how = WARM[(KS.index(k) + KINDS.index(kind)) % len(WARM)]
+    _check_against_oracles(inst, _warm_potentials(inst, how, seed))
+
+
+@pytest.mark.parametrize("how", WARM)
+def test_every_start_gives_the_grid_optimum(how):
+    inst = _transshipment(77, 23, "grid")
+    sol = _check_against_oracles(inst, _warm_potentials(inst, how, 77))
+    assert sol.stats.augmentations <= sol.stats.excess_after
+
+
+def test_centers_far_outside_the_blocks():
+    inst = _transshipment(5, 7, "plain", far=10.0)
+    _check_against_oracles(inst, None)
+    _check_against_oracles(inst, _warm_potentials(inst, "edge", 5))
+
+
+def test_centers_too_far_for_exact_costs_end_cleanly():
+    inst = _transshipment(5, 7, "plain", far=100.0)
+    with pytest.raises(flow.OverflowRiskError):
+        flow.solve_mcf(inst)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from districtor.assignment import ScaledCostPolicy, solve_balanced
-from districtor.lloyd import LloydConfig, SeedingError, centroid_step, run, seed_centers
+from districtor.lloyd import (
+    LloydConfig,
+    SeedingError,
+    _guarded_positions,
+    centroid_step,
+    run,
+    seed_centers,
+)
 from districtor.model import (
     BalancedAssignment,
     CenterSet,
@@ -12,8 +19,8 @@ from districtor.model import (
     assignment_cost,
     balanced_capacities,
 )
-from districtor.oracle import naive_centroid
 from tests.conftest import gaussian_instance, make_instance
+from tests.oracle import naive_centroid
 
 
 class TestSeeding:
@@ -120,6 +127,33 @@ class TestCentroidStep:
             moved = centroid_step(inst, res.assignment)
             after = assignment_cost(inst, moved, res.assignment)
             assert after <= before * (1 + 1e-12) + 1e-12
+
+    def test_guard_matches_full_cost_matrices(self):
+        # the guard reads current costs from the duals and prices only each
+        # entry's own candidate center; the full int_costs matrices agree
+        inst = gaussian_instance(seed=12, n=300, m=9000, k=5)
+        centers = seed_centers(inst, 5, 0)
+        for _ in range(6):
+            res = solve_balanced(inst, centers)
+            asg, sol = res.assignment, res.flow_solution
+            locs = inst.locations()[asg.block_indices]
+            entries = np.arange(len(asg.persons))
+            now = res.cost_model.int_costs(locs, centers.positions)[entries, asg.center_indices]
+            duals = sol.supply_potentials[asg.block_indices] + sol.demand_potentials[asg.center_indices]
+            assert np.array_equal(duals, now)
+
+            def per_center(positions):
+                own = res.cost_model.int_costs(locs, positions)[entries, asg.center_indices]
+                totals = np.zeros(5, dtype=np.int64)
+                np.add.at(totals, asg.center_indices, asg.persons * own)
+                return totals
+
+            candidate = centroid_step(inst, asg)
+            accept = per_center(candidate.positions) < per_center(centers.positions)
+            want = np.where(accept[:, None], candidate.positions, centers.positions)
+            got = _guarded_positions(inst, res, centers, candidate)
+            assert np.array_equal(got, want)
+            centers = CenterSet(positions=got, capacities=centers.capacities)
 
     def test_empty_center_is_invariant_failure(self):
         inst = make_instance([(0, 0), (1, 0), (2, 0)], [1, 1, 1], k=3)

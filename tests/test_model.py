@@ -154,6 +154,12 @@ class TestColumnarInstance:
         assert inst.populations().tolist() == [3, 0]
         assert inst.name == "two"
 
+    def test_diameter_is_the_bounding_box_diagonal(self):
+        inst = make_instance([(1, 1), (4, 2), (2, 5)], [1, 1, 1], k=1)
+        assert inst.diameter == 5.0
+        assert inst.diameter is inst.diameter  # computed once per instance
+        assert make_instance([(2, 3), (2, 3)], [1, 1], k=1).diameter == 0.0
+
 
 class TestCenterSet:
     def test_rejects_unbalanced_capacities(self):

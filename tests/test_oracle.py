@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from districtor.model import CenterSet, balanced_capacities
-from districtor.oracle import (
+from tests.oracle import (
     OracleBoundError,
     brute_force_balanced,
     brute_force_transport,
