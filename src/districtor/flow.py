@@ -189,13 +189,16 @@ def certify(inst: TransshipmentInstance, sol: FlowSolution) -> None:
         raise FlowError("certificate: complementary slackness violated")
 
 
-def _greedy(Ca: np.ndarray, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _greedy(
+    Ca: np.ndarray, s: np.ndarray, demands: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Each supply row's cheapest demand node under potentials v (lowest
-    index on ties), and the amount each demand node receives."""
+    index on ties), the amount each demand node receives, and the excess:
+    the total overfill of the demand nodes."""
     choice = np.argmin(Ca - v[np.newaxis, :], axis=1)
     received = np.zeros(v.shape[0], dtype=np.int64)
     np.add.at(received, choice, s)
-    return choice, received
+    return choice, received, int(np.maximum(received - demands, 0).sum())
 
 
 def _first_reaching(keys: np.ndarray, w: np.ndarray, need: int) -> int:
@@ -274,17 +277,17 @@ def _dual_sweeps(
     Ca = C[active]
     s = supplies[active]
     total = int(s.sum())
-    choice, received = _greedy(Ca, s, v)
-    excess = before = int(np.maximum(received - demands, 0).sum())
+    choice, received, excess = _greedy(Ca, s, demands, v)
+    before = excess
     sweeps = 0
     while excess * _SWEEP_STOP * k > total:
         trial = _sweep(Ca, s, demands, v)
         sweeps += 1
-        t_choice, t_received = _greedy(Ca, s, trial)
-        t_excess = int(np.maximum(t_received - demands, 0).sum())
-        if t_excess >= excess:
+        start = _greedy(Ca, s, demands, trial)
+        if start[2] >= excess:
             break
-        v, choice, received, excess = trial, t_choice, t_received, t_excess
+        v = trial
+        choice, received, excess = start
     base = np.full(C.shape[0], -1, dtype=np.int64)
     base[active] = choice
     stats = SolveStats(sweeps=sweeps, excess_before=before, excess_after=excess)

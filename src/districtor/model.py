@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cached_property
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np

@@ -171,3 +171,37 @@ class TestDeterminism:
         assert np.array_equal(a.demand_idx, b.demand_idx)
         assert np.array_equal(a.amounts, b.amounts)
         assert np.array_equal(a.demand_potentials, b.demand_potentials)
+
+
+class TestDualSweeps:
+    def test_quantile_matches_full_sort(self):
+        # the partial search on one side of the current threshold finds the
+        # value a full sort finds, with ties, huge rows and zero demand
+        rng = np.random.default_rng(3)
+        for t in range(300):
+            n = int(rng.integers(1, 3000))
+            keys = rng.integers(-50, 50, size=n) * int(rng.integers(1, 10**9))
+            w = rng.integers(1, int(rng.choice([2, 5, 500])), size=n)
+            if rng.random() < 0.3:
+                w[rng.integers(0, n)] += 3 * int(w.sum())
+            d = int(rng.integers(0, w.sum() + 1))
+            cur = int(rng.choice(keys)) + int(rng.integers(-1, 2))
+            order = np.argsort(keys, kind="stable")
+            cum = np.cumsum(w[order])
+            want = int(keys.min()) if d == 0 else int(keys[order][np.searchsorted(cum, d)])
+            assert flow._quantile(keys, w, d, cur) == want, f"case {t}"
+
+    def test_sweeps_never_lower_the_dual(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            inst = random_instance(rng, max_side=40, max_supply=30, max_cost=10**6)
+            if inst.n_demand < 2:  # one demand node has nothing to sweep
+                continue
+            C, s, d = inst.costs, inst.supplies, inst.demands
+            v = rng.integers(-(10**6), 10**6, size=inst.n_demand)
+            dual = int(d @ v) + int(s @ (C - v).min(axis=1))
+            for _ in range(4):
+                v = flow._sweep(C, s, d, v)
+                swept = int(d @ v) + int(s @ (C - v).min(axis=1))
+                assert swept >= dual
+                dual = swept
