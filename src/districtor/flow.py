@@ -14,9 +14,12 @@ Specialized to instances with many supply nodes and few demand nodes
    remaining overfill from the greedy start, augmenting along shortest
    paths in a compact demand-node graph whose arc (a, b) carries the
    cheapest relocation of one flow unit from demand node a to demand node
-   b. Relocation costs per ordered pair are kept in lazily pruned heaps, so
-   one augmentation costs O(k log n) heap work plus O(k^2) queue peeks
-   instead of a scan of all supply nodes.
+   b. A k x k table holds the current minimum of every arc, and the
+   searches read it; it is kept exact in O(k) work per supply node that
+   joins or leaves a demand node, from lazily pruned heaps of relocation
+   costs per ordered pair. One augmentation costs O(k^2) table reads plus
+   O(k log n) heap work per moved supply node, instead of a scan of all
+   supply nodes.
 3. Certification. :func:`certify` re-checks conservation, the objective,
    dual feasibility and complementary slackness of the result.
 
@@ -40,7 +43,8 @@ _SAFE_OBJECTIVE = 2**62
 # Dual sweeps stop once the greedy start overfills its demand nodes by at
 # most 1/_SWEEP_STOP of an average demand. The constant balances the numpy
 # work of one more sweep (n*k entries) against the augmentations it saves
-# (k*k queue peeks each); it was set from augmentation counts, not timings.
+# (a search of the k x k table each); it was set from augmentation counts,
+# not timings.
 _SWEEP_STOP = 32
 
 
@@ -116,7 +120,10 @@ class SolveStats:
 
     ``excess_before`` and ``excess_after`` are the total overfill of the
     greedy start (every block at its cheapest center under the potentials)
-    before and after the dual sweeps.
+    before and after the dual sweeps. ``queue_reads`` counts reads of a pair
+    queue's minimum, ``stale_pops`` the queue entries dropped because their
+    block had left the pair's source center or was already counted, and
+    ``heap_pushes`` the entries pushed onto the queues' overflow heaps.
     """
 
     augmentations: int = 0
@@ -124,6 +131,9 @@ class SolveStats:
     sweeps: int = 0
     excess_before: int = 0
     excess_after: int = 0
+    queue_reads: int = 0
+    stale_pops: int = 0
+    heap_pushes: int = 0
 
 
 @dataclass(frozen=True)
@@ -296,9 +306,11 @@ def _dual_sweeps(
 
 class _PairQueue:
     """Min-queue of packed (increment, supply index) keys for one ordered
-    demand-node pair: a sorted numpy backbone built once, plus a small
-    overflow heap for entries added later. Never rewinds; items re-enter
-    through the overflow heap.
+    demand-node pair (a, b): a sorted numpy backbone, plus a small overflow
+    heap for entries added later. The solver builds the backbone on the
+    pair's first read, from every supply node that has been a member of a
+    until then, so the many pairs that are never read cost nothing. Never
+    rewinds; items re-enter through the overflow heap.
     """
 
     __slots__ = ("static", "cursor", "extra")
@@ -382,26 +394,42 @@ class _Solver:
         self.received: list[int] = received_np.tolist()
         self.augmentations = 0
         self.reprices = 0
+        self.queue_reads = 0
+        self.stale_pops = 0
+        self.heap_pushes = 0
 
-        # queues[a][b]: packed (C[y, b] - C[y, a], y) entries over members y
-        # of a. Entries for departed members are pruned lazily on peek.
-        empty = np.empty(0, dtype=np.int64)
-        pack = self._pack
-        self.queues: list[list[_PairQueue]] = []
+        # rel[a][b]: the cheapest relocation increment C[y, b] - C[y, a] over
+        # the members y of a (flow at a > 0), and wit[a][b] a member that
+        # achieves it; None when a has no member, and on the diagonal. The
+        # searches read this k x k table; _enroll and _depart keep it exact.
+        # start[a]: the members of a in the greedy start and their increments
+        # to every demand node; joined[a]: the supply nodes that became
+        # members of a later, departed ones included. See _queue.
+        self.rel: list[list[int | None]] = []
+        self.wit: list[list[int | None]] = []
+        self.start: list[tuple[np.ndarray, np.ndarray]] = []
+        self.joined: list[list[int]] = [[] for _ in range(k)]
+        cols = np.arange(k)
         for a in range(k):
             ids = np.flatnonzero(base_np == a)
-            row: list[_PairQueue] = []
-            if ids.size:
-                Ca = self.C[ids]
-                own = Ca[:, a]
-            for b in range(k):
-                if b == a or ids.size == 0:
-                    row.append(_PairQueue(empty))
-                    continue
-                keys = (Ca[:, b] - own) * pack + ids
-                keys.sort()
-                row.append(_PairQueue(keys))
-            self.queues.append(row)
+            # |C| <= 2**41 by the pack-key guard, so increments fit int64
+            inc = self.C[ids] - self.C[ids, a][:, np.newaxis]
+            self.start.append((ids, inc))
+            if ids.size == 0:
+                self.rel.append([None] * k)
+                self.wit.append([None] * k)
+                continue
+            # argmin takes the lowest supply index on ties, as the keys do
+            best = inc.argmin(axis=0)
+            rel = inc[best, cols].tolist()
+            wit = ids[best].tolist()
+            rel[a] = wit[a] = None
+            self.rel.append(rel)
+            self.wit.append(wit)
+        # queues[a][b]: packed (C[y, b] - C[y, a], y) entries over members y
+        # of a, built on first use. Entries of departed members are pruned
+        # lazily when they reach the front.
+        self.queues: list[list[_PairQueue | None]] = [[None] * k for _ in range(k)]
 
     # -- flow bookkeeping -------------------------------------------------
 
@@ -411,7 +439,8 @@ class _Solver:
         flows = self.split.get(y)
         return flows.get(x, 0) if flows else 0
 
-    def _remove_flow(self, y: int, x: int, q: int) -> None:
+    def _remove_flow(self, y: int, x: int, q: int) -> bool:
+        """Take q units of y from x; True when y is no longer a member of x."""
         if self.base[y] == x:
             rem = self.base_amt[y] - q
             if rem < 0:
@@ -419,20 +448,21 @@ class _Solver:
             if rem == 0:
                 self.base[y] = -1
             self.base_amt[y] = rem
-            return
+            return rem == 0
         flows = self.split[y]
         rem = flows[x] - q
         if rem < 0:
             raise FlowError("internal: negative flow")
-        if rem == 0:
-            del flows[x]
-            if len(flows) == 1:
-                ((only_x, amt),) = flows.items()
-                del self.split[y]
-                self.base[y] = only_x
-                self.base_amt[y] = amt
-        else:
+        if rem > 0:
             flows[x] = rem
+            return False
+        del flows[x]
+        if len(flows) == 1:
+            ((only_x, amt),) = flows.items()
+            del self.split[y]
+            self.base[y] = only_x
+            self.base_amt[y] = amt
+        return True
 
     def _add_flow(self, y: int, x: int, q: int) -> bool:
         """Add q units of y at x; True when y is a new member of x."""
@@ -458,34 +488,75 @@ class _Solver:
         return True
 
     def _enroll(self, y: int, x: int) -> None:
-        """Insert queue entries for new member y of center x."""
-        row = self.C[y]
-        own = int(row[x])
+        """Record new member y of x: lower the row x minima it beats and add
+        its entries to the pair queues of x that are built already."""
+        self.joined[x].append(y)
+        C = self.C
+        incs = (C[y] - C[y, x]).tolist()
         pack = self._pack
-        qx = self.queues[x]
+        rel = self.rel[x]
+        wit = self.wit[x]
+        queues = self.queues[x]
+        for b, inc in enumerate(incs):
+            if b == x:
+                continue
+            r = rel[b]
+            if r is None or inc < r:
+                rel[b] = inc
+                wit[b] = y
+            queue = queues[b]
+            if queue is not None:
+                queue.push(inc * pack + y)
+                self.heap_pushes += 1
+
+    def _depart(self, y: int, x: int) -> None:
+        """Re-read the row x minima that y, no longer a member of x, achieved."""
+        wit = self.wit[x]
+        if y not in wit:
+            return
+        rel = self.rel[x]
         for b in range(self.k):
-            if b != x:
-                qx[b].push((int(row[b]) - own) * pack + y)
+            if wit[b] == y:
+                rel[b], wit[b] = self._front(x, b)
 
     def _move(self, y: int, a: int, b: int, q: int) -> None:
-        self._remove_flow(y, a, q)
+        if self._remove_flow(y, a, q):
+            self._depart(y, a)
         if self._add_flow(y, b, q):
             self._enroll(y, b)
         self.received[a] -= q
         self.received[b] += q
 
-    def _peek(self, a: int, b: int) -> int | None:
-        """Cheapest relocation increment from a to b, pruning stale entries."""
+    def _queue(self, a: int, b: int) -> _PairQueue:
+        """The (a, b) pair queue, built on first use from every supply node
+        that has been a member of a until then."""
         queue = self.queues[a][b]
+        if queue is None:
+            ids, inc = self.start[a]
+            keys = inc[:, b] * self._pack + ids
+            if self.joined[a]:
+                later = np.array(self.joined[a], dtype=np.int64)
+                later_inc = self.C[later, b] - self.C[later, a]
+                keys = np.concatenate([keys, later_inc * self._pack + later])
+            keys.sort()
+            queue = self.queues[a][b] = _PairQueue(keys)
+        return queue
+
+    def _front(self, a: int, b: int) -> tuple[int | None, int | None]:
+        """Cheapest relocation increment from a to b and the member that
+        achieves it (lowest index on ties), pruning stale entries."""
+        queue = self._queue(a, b)
         pack = self._pack
         while True:
             key = queue.peek_min()
+            self.queue_reads += 1
             if key is None:
-                return None
+                return None, None
             y = key % pack
             if self.flow_at(y, a) > 0:
-                return (key - y) // pack
+                return (key - y) // pack, y
             queue.pop_min()
+            self.stale_pops += 1
 
     # -- shortest paths on the demand-node graph --------------------------
 
@@ -502,6 +573,7 @@ class _Solver:
                 dist[x] = 0
                 heapq.heappush(heap, (0, x))
         done = [False] * k
+        rel = self.rel
         target = -1
         target_dist = 0
         while heap:
@@ -514,11 +586,10 @@ class _Solver:
                 target_dist = d
                 break
             va = v[a]
+            row = rel[a]
             for b in range(k):
-                if done[b] or b == a:
-                    continue
-                raw = self._peek(a, b)
-                if raw is None:
+                raw = row[b]
+                if raw is None or done[b]:
                     continue
                 nd = d + raw + va - v[b]
                 if dist[b] is None or nd < dist[b]:
@@ -536,6 +607,7 @@ class _Solver:
         k = self.k
         v = self.v
         demands = self.inst.demands
+        rel = self.rel
         parent = [-2] * k  # -2 unvisited, -1 source
         queue: list[int] = []
         for x in range(k):
@@ -553,11 +625,10 @@ class _Solver:
                 path.reverse()
                 return path
             va = v[a]
+            row = rel[a]
             for b in range(k):
-                if parent[b] != -2 or b == a:
-                    continue
-                raw = self._peek(a, b)
-                if raw is not None and raw + va - v[b] == 0:
+                raw = row[b]
+                if raw is not None and raw + va == v[b] and parent[b] == -2:
                     parent[b] = a
                     queue.append(b)
         return None
@@ -569,21 +640,20 @@ class _Solver:
         re-arriving; duplicates are counted once and dropped.
         """
         target = self.v[b] - self.v[a]
-        queue = self.queues[a][b]
+        queue = self._queue(a, b)
         pack = self._pack
         popped: list[int] = []
         seen: set[int] = set()
         cap = 0
         while cap < bound:
             key = queue.peek_min()
+            self.queue_reads += 1
             if key is None:
                 break
             y = key % pack
-            if self.flow_at(y, a) == 0:
+            if self.flow_at(y, a) == 0 or y in seen:  # departed, or a duplicate
                 queue.pop_min()
-                continue
-            if y in seen:  # redundant duplicate entry
-                queue.pop_min()
+                self.stale_pops += 1
                 continue
             if (key - y) // pack != target:
                 break
@@ -592,6 +662,7 @@ class _Solver:
             cap += self.flow_at(y, a)
         for key in popped:
             queue.push(key)
+        self.heap_pushes += len(popped)
         return cap
 
     def _push(self, path: list[int]) -> None:
@@ -608,16 +679,18 @@ class _Solver:
         pack = self._pack
         for a, b in zip(path, path[1:]):
             target = self.v[b] - self.v[a]
-            queue = self.queues[a][b]
+            queue = self._queue(a, b)
             need = theta
             while need > 0:
                 key = queue.peek_min()
+                self.queue_reads += 1
                 if key is None:
                     raise FlowError("internal: hop capacity vanished")
                 y = key % pack
                 amt = self.flow_at(y, a)
                 if amt == 0:
                     queue.pop_min()
+                    self.stale_pops += 1
                     continue
                 if (key - y) // pack != target:
                     raise FlowError("internal: tight arc lost its witness")
@@ -627,6 +700,7 @@ class _Solver:
                 need -= q
                 if q < amt:  # y keeps flow at a
                     queue.push(key)
+                    self.heap_pushes += 1
 
     # -- main loop ---------------------------------------------------------
 
@@ -668,7 +742,12 @@ class _Solver:
         z = (self.C - v[np.newaxis, :]).min(axis=1)
         objective = int(np.dot(amounts, self.C[supply_idx, demand_idx]))
         stats = dataclasses.replace(
-            self.sweep_stats, augmentations=self.augmentations, reprices=self.reprices
+            self.sweep_stats,
+            augmentations=self.augmentations,
+            reprices=self.reprices,
+            queue_reads=self.queue_reads,
+            stale_pops=self.stale_pops,
+            heap_pushes=self.heap_pushes,
         )
         return FlowSolution(
             supply_idx=supply_idx,

@@ -162,6 +162,8 @@ def run(
                 cost=res.objective_scaled * res.cost_model.units_per_cost,
                 cost_scaled=res.objective_scaled,
                 max_displacement=disp,
+                solve=res.flow_solution.stats,
+                rejected=int(np.any(new_positions != candidate.positions, axis=1).sum()),
             )
         )
         final = (centers, res)

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .flow import SolveStats
+
 
 class ModelError(ValueError):
     """Invalid domain data."""
@@ -270,12 +272,19 @@ class BalancedAssignment:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One Lloyd iteration: cost after the assignment step, then center movement."""
+    """One Lloyd iteration: cost after the assignment step, then center movement.
+
+    ``solve`` holds the work counts of the iteration's flow solve and
+    ``rejected`` the number of centers whose centroid move the cost guard
+    refused. Neither is written to the result set.
+    """
 
     index: int
     cost: float  # original squared-distance units
     cost_scaled: int  # exact integer objective of the scaled solve
     max_displacement: float
+    solve: SolveStats = SolveStats()
+    rejected: int = 0
 
 
 @dataclass(frozen=True)

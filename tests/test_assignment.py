@@ -13,7 +13,7 @@ from districtor.assignment import (
     solve_balanced,
     verify_power_consistency,
 )
-from districtor.lloyd import seed_centers
+from districtor.lloyd import LloydConfig, run, seed_centers
 from districtor.model import CenterSet, ModelError, assignment_cost, balanced_capacities
 from tests.conftest import (
     gaussian_instance,
@@ -223,3 +223,36 @@ class TestSolveStats:
             assert s.sweeps >= 1
             assert s.excess_after < s.excess_before
             assert s.augmentations <= s.excess_after
+
+
+class TestPinnedCounts:
+    """Counts and answers at k = 53, measured before flow's searches read a
+    maintained table of relocation minima instead of peeking every pair
+    queue. The table leaves every search in the same order, so the same
+    paths, reprices, flows and potentials repeat exactly. A change to the
+    order of the searches must re-measure these values and record them in
+    CHANGES.md."""
+
+    @staticmethod
+    def instance():
+        return gaussian_instance(0, n=1_000, m=30_000, k=53)
+
+    def test_cold_solve(self):
+        inst = self.instance()
+        res = solve_balanced(inst, seed_centers(inst, 53, 0))
+        s = res.flow_solution.stats
+        assert (s.augmentations, s.reprices, s.sweeps) == (1_053, 1_039, 7)
+        assert (s.excess_before, s.excess_after) == (9_173, 4_662)
+        assert res.objective_scaled == 640_369_823_784
+        # peeking every pair on every search read a queue minimum 2,929,564
+        # times; the table reads one only when a witness leaves (69,704)
+        assert s.queue_reads <= 100_000
+
+    def test_lloyd_iterations(self):
+        result = run(self.instance(), LloydConfig(seed=0, max_iterations=5))
+        records = result.trace.iterations
+        assert [(r.solve.augmentations, r.solve.reprices) for r in records] == [
+            (1_053, 1_039), (409, 385), (236, 214), (109, 75), (73, 43)
+        ]
+        assert [r.rejected for r in records] == [0, 0, 0, 0, 1]
+        assert records[-1].cost_scaled == 24_579_892_935

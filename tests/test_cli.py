@@ -358,6 +358,30 @@ class TestSolveThenValidateCorpus:
         assert main(["validate", "--dir", str(out)]) == EXIT_OK
 
 
+def write_collinear_instance(path: Path, axis: str, n=60):
+    # every block on one line: the cells' frame is degenerate across it
+    pops = np.random.default_rng(17).integers(1, 50, size=n)
+    lines = ["block_id,x,y,population"]
+    for i in range(n):
+        x, y = (1.5 * i, 2.0) if axis == "horizontal" else (-3.0, 1.5 * i)
+        lines.append(f"c{i:03d},{x!r},{y!r},{int(pops[i])}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestCollinearBlocks:
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
+    def test_solve_then_validate(self, tmp_path, axis, k):
+        blocks = tmp_path / "b.csv"
+        write_collinear_instance(blocks, axis)
+        out = tmp_path / "out"
+        assert main(
+            ["solve", "--input", str(blocks), "--k", str(k), "--seed", "0",
+             "--out", str(out)]
+        ) == EXIT_OK
+        assert main(["validate", "--dir", str(out)]) == EXIT_OK
+
+
 class TestSummaryDeterminism:
     def test_identical_except_wall_time(self, tmp_path):
         blocks = tmp_path / "b.csv"

@@ -205,3 +205,45 @@ class TestDualSweeps:
                 swept = int(d @ v) + int(s @ (C - v).min(axis=1))
                 assert swept >= dual
                 dual = swept
+
+
+# Below 2**19 supply nodes, keys pack as increment * 2**20 + index, so
+# costs up to 2**41 in magnitude are the largest the relocation index takes.
+PACK_BOUND = 2**41
+EDGE_POTENTIALS = np.array([-(2**61), 2**61], dtype=np.int64)
+
+
+def bound_instance(rng, n, k, max_supply=30):
+    """Random costs in [-2**41, 2**41] with both extremes present."""
+    costs = rng.integers(-PACK_BOUND, PACK_BOUND + 1, size=(n, k))
+    costs[0, 0] = PACK_BOUND
+    costs[-1, -1] = -PACK_BOUND
+    supplies = rng.integers(0, max_supply, size=n)
+    supplies[0] += 1
+    total = int(supplies.sum())
+    demands = np.full(k, total // k)
+    demands[: total % k] += 1
+    return flow.TransshipmentInstance(costs=costs, supplies=supplies, demands=demands)
+
+
+class TestOverflowEdges:
+    @pytest.mark.parametrize("seed", range(33))
+    def test_costs_at_the_pack_bound_certify(self, seed):
+        rng = np.random.default_rng(seed)
+        for k in (2, 7, 53):
+            inst = bound_instance(rng, int(rng.integers(2, 300)), k)
+            for warm in (None, rng.choice(EDGE_POTENTIALS, size=k)):
+                flow.certify(inst, flow.solve_mcf(inst, warm_potentials=warm))
+
+    def test_largest_supply_index_at_the_pack_bound(self):
+        # supplies below 3 keep the total under the objective guard's 2**21
+        rng = np.random.default_rng(4)
+        inst = bound_instance(rng, 2**19 - 1, 2, max_supply=3)
+        flow.certify(inst, flow.solve_mcf(inst, warm_potentials=EDGE_POTENTIALS))
+
+    def test_one_past_the_pack_bound_rejected(self):
+        inst = flow.TransshipmentInstance(
+            costs=[[PACK_BOUND + 1, 0], [0, 0]], supplies=[1, 1], demands=[1, 1]
+        )
+        with pytest.raises(flow.OverflowRiskError, match="relocation index"):
+            flow.solve_mcf(inst)

@@ -14,6 +14,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from districtor import flow
 from districtor.assignment import ScaledCostPolicy, cost_model_for
@@ -122,3 +124,72 @@ def test_centers_too_far_for_exact_costs_end_cleanly():
     inst = _transshipment(5, 7, "plain", far=100.0)
     with pytest.raises(flow.OverflowRiskError):
         flow.solve_mcf(inst)
+
+
+class _CheckedSolver(flow._Solver):
+    """The production solver, checking its relocation table after every push."""
+
+    def __init__(self, inst, warm):
+        super().__init__(inst, warm)
+        self.checks = 0
+        self.check_table()
+
+    def _push(self, path):
+        super()._push(path)
+        self.check_table()
+
+    def check_table(self):
+        """rel[a][b] is the least C[y, b] - C[y, a] over the members y of a,
+        by brute force, and wit[a][b] is a member that achieves it."""
+        self.checks += 1
+        n, k, C = self.n, self.k, self.C
+        flows = np.array([[self.flow_at(y, x) for x in range(k)] for y in range(n)])
+        for a in range(k):
+            members = np.flatnonzero(flows[:, a] > 0)
+            assert self.rel[a][a] is None and self.wit[a][a] is None
+            for b in range(k):
+                if b == a:
+                    continue
+                if members.size == 0:
+                    assert self.rel[a][b] is None and self.wit[a][b] is None
+                    continue
+                inc = C[members, b] - C[members, a]
+                assert self.rel[a][b] == int(inc.min())
+                y = self.wit[a][b]
+                assert flows[y, a] > 0
+                assert int(C[y, b] - C[y, a]) == self.rel[a][b]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from(KS),
+    n=st.integers(1, 120),
+    side=st.integers(1, 12),
+    zeros=st.floats(0.0, 0.7),
+    heavy=st.integers(0, 3),
+    warm=st.booleans(),
+)
+def test_relocation_table_stays_exact(seed, k, n, side, zeros, heavy, warm):
+    """Blocks and centers on a small integer grid give many tied costs;
+    zero supplies leave blocks out of the flow, and heavy blocks above a
+    district's demand must split."""
+    rng = np.random.default_rng(seed)
+    locs = rng.integers(0, side + 1, size=(n, 2))
+    centers = rng.integers(0, side + 1, size=(k, 2))
+    costs = ((locs[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2).sum(axis=2)
+    supplies = rng.integers(1, 40, size=n)
+    supplies[rng.random(n) < zeros] = 0
+    supplies[rng.integers(0, n, size=heavy)] += 2 * (int(supplies.sum()) // k + 1)
+    supplies[0] += int(supplies.sum()) == 0
+    total = int(supplies.sum())
+    demands = np.full(k, total // k)
+    demands[: total % k] += 1
+    inst = flow.TransshipmentInstance(costs, supplies, demands)
+    potentials = rng.integers(-(side**2), side**2 + 1, size=k) if warm else None
+    solver = _CheckedSolver(inst, potentials)
+    solver.run()
+    assert solver.checks == solver.augmentations + 1
+    sol = solver.solution()
+    flow.certify(inst, sol)
+    assert sol.objective == network_simplex_transport(costs, supplies, demands)
