@@ -402,23 +402,23 @@ class _Solver:
         # the members y of a (flow at a > 0), and wit[a][b] a member that
         # achieves it; None when a has no member, and on the diagonal. The
         # searches read this k x k table; _enroll and _depart keep it exact.
-        # start[a]: the members of a in the greedy start and their increments
-        # to every demand node; joined[a]: the supply nodes that became
-        # members of a later, departed ones included. See _queue.
+        # start[a]: the members of a in the greedy start; joined[a]: the
+        # supply nodes that became members of a later, departed ones
+        # included. See _queue.
         self.rel: list[list[int | None]] = []
         self.wit: list[list[int | None]] = []
-        self.start: list[tuple[np.ndarray, np.ndarray]] = []
+        self.start: list[np.ndarray] = []
         self.joined: list[list[int]] = [[] for _ in range(k)]
         cols = np.arange(k)
         for a in range(k):
             ids = np.flatnonzero(base_np == a)
-            # |C| <= 2**41 by the pack-key guard, so increments fit int64
-            inc = self.C[ids] - self.C[ids, a][:, np.newaxis]
-            self.start.append((ids, inc))
+            self.start.append(ids)
             if ids.size == 0:
                 self.rel.append([None] * k)
                 self.wit.append([None] * k)
                 continue
+            # |C| <= 2**41 by the pack-key guard, so increments fit int64
+            inc = self.C[ids] - self.C[ids, a][:, np.newaxis]
             # argmin takes the lowest supply index on ties, as the keys do
             best = inc.argmin(axis=0)
             rel = inc[best, cols].tolist()
@@ -532,12 +532,10 @@ class _Solver:
         that has been a member of a until then."""
         queue = self.queues[a][b]
         if queue is None:
-            ids, inc = self.start[a]
-            keys = inc[:, b] * self._pack + ids
+            ids = self.start[a]
             if self.joined[a]:
-                later = np.array(self.joined[a], dtype=np.int64)
-                later_inc = self.C[later, b] - self.C[later, a]
-                keys = np.concatenate([keys, later_inc * self._pack + later])
+                ids = np.concatenate([ids, self.joined[a]])
+            keys = (self.C[ids, b] - self.C[ids, a]) * self._pack + ids
             keys.sort()
             queue = self.queues[a][b] = _PairQueue(keys)
         return queue

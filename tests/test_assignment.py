@@ -245,7 +245,8 @@ class TestPinnedCounts:
         assert (s.excess_before, s.excess_after) == (9_173, 4_662)
         assert res.objective_scaled == 640_369_823_784
         # peeking every pair on every search read a queue minimum 2,929,564
-        # times; the table reads one only when a witness leaves (69,704)
+        # times; with the table only pushes and departing witnesses read
+        # one (69,704)
         assert s.queue_reads <= 100_000
 
     def test_lloyd_iterations(self):
