@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +184,9 @@ def cmd_validate(args) -> int:
         policy = ScaledCostPolicy(scale=float(summary["scale"]))
         threshold = float(summary["threshold"])
         final_cost = float(summary["final_cost"])
-        asg_rows = dataio.read_assignment_csv(out_dir / "assignment.csv")
+        asg_ids, asg_centers, asg_persons = dataio.read_assignment_columns(
+            out_dir / "assignment.csv"
+        )
         trace_rows = dataio.read_trace_csv(out_dir / "trace.csv")
         cells_payload = dataio.read_cells_json(out_dir / "cells.json")
     except _INPUT_ERRORS as exc:
@@ -191,23 +194,24 @@ def cmd_validate(args) -> int:
         return EXIT_INPUT
     report = _Report()
 
-    index_of = {bid: i for i, bid in enumerate(inst.ids)}
+    index_of = dict(zip(inst.ids, range(inst.n_blocks)))
+    block_indices = np.fromiter(
+        map(index_of.get, asg_ids, repeat(-1)), dtype=np.int64, count=len(asg_ids)
+    )
     structural = report.check(
         "result-set structure",
         centers.k == k
-        and all(p > 0 for _, _, p in asg_rows)
-        and all(0 <= c < k for _, c, _ in asg_rows)
-        and all(bid in index_of for bid, _, _ in asg_rows),
-        f"k={k}, {len(asg_rows)} assignment rows",
+        and bool(np.all(asg_persons > 0))
+        and bool(np.all((asg_centers >= 0) & (asg_centers < k)))
+        and bool(np.all(block_indices >= 0)),
+        f"k={k}, {len(asg_ids)} assignment rows",
     )
     if not structural:
         print("validation failed")
         return EXIT_VALIDATION
 
     asg = BalancedAssignment(
-        block_indices=[index_of[bid] for bid, _, _ in asg_rows],
-        center_indices=[c for _, c, _ in asg_rows],
-        persons=[p for _, _, p in asg_rows],
+        block_indices=block_indices, center_indices=asg_centers, persons=asg_persons
     )
     conserved = report.check(
         "conservation per block",

@@ -5,6 +5,16 @@ self-contained result set: the projected blocks, the assignment, centers
 with weights, cell polygons, the iteration trace, and a run summary. All
 files are UTF-8 with LF newlines; floats are written with shortest
 round-trip formatting.
+
+The block CSV reader accepts what ``csv.reader`` with the default dialect
+accepts: quoted fields, LF or CRLF line ends, and blank lines, which are
+skipped. Ids are stripped of surrounding spaces; numbers are parsed by
+``float`` and ``int``. An id may not hold a comma, a double quote, a CR or
+an LF, since the result files write ids unquoted and could not read it
+back. Block files and assignment.csv are parsed by columns, a bounded
+chunk of lines at a time; a file with a quote or a CR, or any irregular
+row, is read again row by row through ``csv``, which names the line of the
+first bad row.
 """
 
 from __future__ import annotations
@@ -12,7 +22,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +44,7 @@ MAX_ABS_LATITUDE = 89.0
 
 PLANAR_HEADER = ["block_id", "x", "y", "population"]
 LONLAT_HEADER = ["block_id", "lon", "lat", "population"]
+ASSIGNMENT_HEADER = ["block_id", "center_index", "persons_assigned"]
 
 
 class DataError(ValueError):
@@ -68,6 +81,40 @@ def read_blocks(path: str | Path, k: int, lonlat: bool = False, name: str | None
     """
     path = Path(path)
     expected = LONLAT_HEADER if lonlat else PLANAR_HEADER
+    try:
+        ids, xs, ys, pops = _read_columns(
+            path,
+            lambda found: [h.strip() for h in found] == expected,
+            (str.strip, float, float, int),
+        )
+        pops = np.frombuffer(pops, dtype=np.int64)
+        if (
+            not ids
+            or not all(ids)
+            or len(set(ids)) != len(ids)
+            or not (np.isfinite(xs).all() and np.isfinite(ys).all())
+            or (pops < 0).any()
+        ):
+            raise _Irregular
+    except _Irregular:
+        ids, xs, ys, pops = _read_block_rows(path, expected)
+
+    if lonlat:
+        # The sequential Python mean, not np.mean: the reference parallel,
+        # and with it every projected coordinate, must not change bits.
+        lat0 = sum(ys) / len(ys)
+        try:
+            xs, ys = project(xs, ys, lat0)
+        except DataError as exc:
+            bad = int(np.argmax(np.abs(ys) >= MAX_ABS_LATITUDE))
+            raise DataError(f"{path}: block {ids[bad]!r}: {exc}") from None
+    name = name if name is not None else path.stem
+    return Instance(ids=ids, locations=np.column_stack((xs, ys)), populations=pops, k=k, name=name)
+
+
+def _read_block_rows(path: Path, expected: list[str]) -> tuple:
+    """The columns of a block CSV, read row by row through ``csv``; the
+    first malformed row fails with its line number."""
     rows: list[tuple[str, float, float, int]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -88,6 +135,11 @@ def read_blocks(path: str | Path, k: int, lonlat: bool = False, name: str | None
             block_id = row[0].strip()
             if not block_id:
                 raise DataError(f"{path}:{lineno}: empty block_id")
+            if any(c in block_id for c in ',"\r\n'):
+                raise DataError(
+                    f"{path}:{lineno}: block_id {block_id!r} holds a comma, quote or "
+                    "line break, which the result files cannot hold"
+                )
             if block_id in seen:
                 raise DataError(f"{path}:{lineno}: duplicate block_id {block_id!r}")
             seen.add(block_id)
@@ -109,19 +161,54 @@ def read_blocks(path: str | Path, k: int, lonlat: bool = False, name: str | None
             rows.append((block_id, cx, cy, pop))
     if not rows:
         raise DataError(f"{path}: no data rows")
+    return tuple(zip(*rows))
 
-    ids, xs, ys, pops = zip(*rows)
-    if lonlat:
-        # The sequential Python mean, not np.mean: the reference parallel,
-        # and with it every projected coordinate, must not change bits.
-        lat0 = sum(ys) / len(ys)
-        try:
-            xs, ys = project(xs, ys, lat0)
-        except DataError as exc:
-            bad = int(np.argmax(np.abs(ys) >= MAX_ABS_LATITUDE))
-            raise DataError(f"{path}: block {ids[bad]!r}: {exc}") from None
-    name = name if name is not None else path.stem
-    return Instance(ids=ids, locations=np.column_stack((xs, ys)), populations=pops, k=k, name=name)
+
+# Characters of text the columnar reader parses at a time. Its per-chunk
+# lists of field strings stay small; reading a 100,000-row file whole
+# raised the peak memory of a whole solve.
+_CHUNK_CHARS = 1 << 16
+
+
+class _Irregular(Exception):
+    """A file the columnar reader does not take. The per-row reader reads
+    it instead, and names the first bad row."""
+
+
+def _read_columns(path: Path, header_ok, fields) -> list:
+    """The columns of a CSV file, parsed a chunk of lines at a time.
+
+    ``header_ok`` judges the header's fields; ``fields`` holds one converter
+    per column: ``float`` and ``int`` columns come back as ``array('d')``
+    and ``array('q')``, string columns (``str`` or ``str.strip``) as lists.
+    Blank lines are skipped. Raises _Irregular on a quote or CR anywhere, a
+    rejected header, a line with the wrong number of commas or a field the
+    converter rejects.
+    """
+    n = len(fields)
+    cols = [array("d") if f is float else array("q") if f is int else [] for f in fields]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = fh.readline()
+        if '"' in header or "\r" in header or not header_ok(header.rstrip("\n").split(",")):
+            raise _Irregular
+        while True:
+            text = fh.read(_CHUNK_CHARS)
+            if not text:
+                break
+            if not text.endswith("\n"):
+                text += fh.readline()
+            if '"' in text or "\r" in text:
+                raise _Irregular
+            lines = list(filter(None, text.split("\n")))
+            if not set(map(str.count, lines, repeat(","))) <= {n - 1}:
+                raise _Irregular
+            flat = ",".join(lines).split(",")
+            try:
+                for j, (col, convert) in enumerate(zip(cols, fields)):
+                    col.extend(map(convert, flat[j::n]))
+            except (ValueError, OverflowError):
+                raise _Irregular from None
+    return cols
 
 
 @dataclass(frozen=True)
@@ -171,7 +258,7 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
     ids = inst.ids
     asg_path = out / "assignment.csv"
     with open(asg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("block_id,center_index,persons_assigned\n")
+        fh.write(",".join(ASSIGNMENT_HEADER) + "\n")
         for bi, ci, p in zip(
             asg.block_indices.tolist(), asg.center_indices.tolist(), asg.persons.tolist()
         ):
@@ -281,12 +368,28 @@ def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
     return rows
 
 
+def read_assignment_columns(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The block ids, center indices and persons of an assignment.csv, in
+    file order; the indices and persons as int64 arrays."""
+    try:
+        ids, centers, persons = _read_columns(
+            Path(path), lambda found: found == ASSIGNMENT_HEADER, (str, int, int)
+        )
+    except _Irregular:
+        rows = _read_csv_rows(
+            path, ASSIGNMENT_HEADER, lambda row: (row[0], int(row[1]), int(row[2]))
+        )
+        ids, centers, persons = ([row[j] for row in rows] for j in range(3))
+    try:
+        return ids, np.array(centers, dtype=np.int64), np.array(persons, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: an integer field exceeds the 64-bit range") from None
+
+
 def read_assignment_csv(path: str | Path) -> list[tuple[str, int, int]]:
-    return _read_csv_rows(
-        path,
-        ["block_id", "center_index", "persons_assigned"],
-        lambda row: (row[0], int(row[1]), int(row[2])),
-    )
+    """The rows of an assignment.csv as (block id, center index, persons)."""
+    ids, centers, persons = read_assignment_columns(path)
+    return list(zip(ids, centers.tolist(), persons.tolist()))
 
 
 def read_centers_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Exact minimum-cost solver for dense bipartite transshipment instances.
 
 Specialized to instances with many supply nodes and few demand nodes
-(blocks vs. district centers). A solve runs in three steps:
+(blocks vs. district centers). A solve runs in four steps:
 
 1. Dual sweeps. The demand potentials maximize a concave k-dimensional
    dual. Gauss-Seidel sweeps of exact coordinate ascent, in numpy, set each
@@ -20,7 +20,12 @@ Specialized to instances with many supply nodes and few demand nodes
    costs per ordered pair. One augmentation costs O(k^2) table reads plus
    O(k log n) heap work per moved supply node, instead of a scan of all
    supply nodes.
-3. Certification. :func:`certify` re-checks conservation, the objective,
+3. Read-out. The greedy start is kept as an array of demand nodes; the
+   repair's changes are written back at the supply nodes it moved, which
+   leaves the whole-node entries in supply order, and the entries of the
+   few split nodes are merged in at their supply positions. No entry is
+   sorted.
+4. Certification. :func:`certify` re-checks conservation, the objective,
    dual feasibility and complementary slackness of the result.
 
 All arithmetic is on Python integers or int64 arrays, so the optimality
@@ -124,6 +129,7 @@ class SolveStats:
     queue's minimum, ``stale_pops`` the queue entries dropped because their
     block had left the pair's source center or was already counted, and
     ``heap_pushes`` the entries pushed onto the queues' overflow heaps.
+    ``split_blocks`` counts the blocks whose flow ends split across centers.
     """
 
     augmentations: int = 0
@@ -134,6 +140,7 @@ class SolveStats:
     queue_reads: int = 0
     stale_pops: int = 0
     heap_pushes: int = 0
+    split_blocks: int = 0
 
 
 @dataclass(frozen=True)
@@ -387,10 +394,14 @@ class _Solver:
         self.v = v0.tolist()
 
         # base[y]: the single center holding block y's whole flow, or -1 when
-        # y is inactive or split across centers (then see self.split).
+        # y is inactive or split across centers (then see self.split). The
+        # greedy start is kept as an array too; solution() reads the list
+        # only at the touched blocks, those the repair moved flow of.
+        self.start_base = base_np
         self.base: list[int] = base_np.tolist()
         self.base_amt: list[int] = np.where(base_np >= 0, inst.supplies, 0).tolist()
         self.split: dict[int, dict[int, int]] = {}
+        self.touched: set[int] = set()
         self.received: list[int] = received_np.tolist()
         self.augmentations = 0
         self.reprices = 0
@@ -520,6 +531,7 @@ class _Solver:
                 rel[b], wit[b] = self._front(x, b)
 
     def _move(self, y: int, a: int, b: int, q: int) -> None:
+        self.touched.add(y)
         if self._remove_flow(y, a, q):
             self._depart(y, a)
         if self._add_flow(y, b, q):
@@ -719,19 +731,35 @@ class _Solver:
             self._dijkstra_reprice()
 
     def solution(self) -> FlowSolution:
-        base = np.array(self.base, dtype=np.int64)
+        """The flow as entries in (supply, demand) order, with potentials.
+
+        The greedy start is patched at the touched blocks; the whole-block
+        entries, each carrying its block's supply, are then in supply order,
+        and the entries of the few split blocks are merged in at their
+        supply positions.
+        """
+        base = self.start_base
+        if self.touched:
+            ys = list(self.touched)
+            base = base.copy()
+            base[ys] = [self.base[y] for y in ys]
         whole = np.flatnonzero(base >= 0)
-        parts = np.array(
-            [(y, x, amt) for y, flows in self.split.items() for x, amt in flows.items()],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        supply_idx = np.concatenate([whole, parts[:, 0]])
-        demand_idx = np.concatenate([base[whole], parts[:, 1]])
-        amounts = np.concatenate([np.array(self.base_amt, dtype=np.int64)[whole], parts[:, 2]])
-        order = np.lexsort((demand_idx, supply_idx))
-        supply_idx = supply_idx[order]
-        demand_idx = demand_idx[order]
-        amounts = amounts[order]
+        supply_idx = whole
+        demand_idx = base[whole]
+        amounts = self.inst.supplies[whole]
+        if self.split:
+            parts = np.array(
+                [
+                    (y, x, self.split[y][x])
+                    for y in sorted(self.split)
+                    for x in sorted(self.split[y])
+                ],
+                dtype=np.int64,
+            )
+            at = np.searchsorted(whole, parts[:, 0])
+            supply_idx = np.insert(supply_idx, at, parts[:, 0])
+            demand_idx = np.insert(demand_idx, at, parts[:, 1])
+            amounts = np.insert(amounts, at, parts[:, 2])
 
         # Normalize potentials so min(v) = 0; shifting all demand potentials
         # by a constant preserves feasibility and slackness.
@@ -746,6 +774,7 @@ class _Solver:
             queue_reads=self.queue_reads,
             stale_pops=self.stale_pops,
             heap_pushes=self.heap_pushes,
+            split_blocks=len(self.split),
         )
         return FlowSolution(
             supply_idx=supply_idx,

@@ -207,19 +207,23 @@ class BalancedAssignment:
     persons: np.ndarray  # (e,) int64, all positive
 
     def __post_init__(self) -> None:
-        bi = np.asarray(self.block_indices, dtype=np.int64).reshape(-1)
-        ci = np.asarray(self.center_indices, dtype=np.int64).reshape(-1)
-        pe = np.asarray(self.persons, dtype=np.int64).reshape(-1)
+        # copies: the assignment owns its arrays
+        bi = np.array(self.block_indices, dtype=np.int64).reshape(-1)
+        ci = np.array(self.center_indices, dtype=np.int64).reshape(-1)
+        pe = np.array(self.persons, dtype=np.int64).reshape(-1)
         if not (bi.shape == ci.shape == pe.shape):
             raise ModelError("assignment arrays must have equal length")
         if np.any(pe <= 0):
             raise ModelError("assignment entries must carry positive persons")
-        order = np.lexsort((ci, bi))
-        object.__setattr__(self, "block_indices", bi[order])
-        object.__setattr__(self, "center_indices", ci[order])
-        object.__setattr__(self, "persons", pe[order])
-        for arr in (self.block_indices, self.center_indices, self.persons):
+        # Solver results and written assignment files are in order already;
+        # only other entries are sorted (stably, so equal keys keep their order).
+        tie = bi[1:] == bi[:-1]
+        if np.any(bi[1:] < bi[:-1]) or np.any(ci[1:][tie] < ci[:-1][tie]):
+            order = np.lexsort((ci, bi))
+            bi, ci, pe = bi[order], ci[order], pe[order]
+        for name, arr in (("block_indices", bi), ("center_indices", ci), ("persons", pe)):
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def per_center_population(self, k: int) -> np.ndarray:
         out = np.zeros(k, dtype=np.int64)
@@ -234,12 +238,14 @@ class BalancedAssignment:
     def centroids(self, inst: Instance, k: int) -> np.ndarray:
         """(k, 2) flow-weighted mean location of each center's residents; NaN
         for a center with none."""
-        locs = inst.locations()[self.block_indices]
-        w = self.persons.astype(np.float64)
-        sums = np.zeros((k, 2), dtype=np.float64)
-        np.add.at(sums, self.center_indices, locs * w[:, None])
         counts = self.per_center_population(k).astype(np.float64)
         counts[counts == 0] = np.nan
+        locs = inst.locations()[self.block_indices]
+        w = self.persons.astype(np.float64)
+        # bincount adds in entry order, as a sequential sum would
+        sums = np.column_stack(
+            [np.bincount(self.center_indices, weights=locs[:, i] * w, minlength=k) for i in (0, 1)]
+        )
         return sums / counts[:, None]
 
     def validate(self, inst: Instance, centers: CenterSet) -> None:

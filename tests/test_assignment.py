@@ -213,6 +213,16 @@ class TestSolveStats:
     def test_counts_repeat_exactly(self):
         assert list(self.cold_solves()) == list(self.cold_solves())
 
+    def test_split_blocks_count_the_entries(self):
+        # measured through the entries before the count was kept: 5, 6, 6, 6
+        counted = []
+        for seed in range(4):
+            inst = gaussian_instance(seed, n=5_000, m=150_000, k=7)
+            sol = solve_balanced(inst, seed_centers(inst, 7, 0)).flow_solution
+            assert sol.stats.split_blocks == np.count_nonzero(np.bincount(sol.supply_idx) > 1)
+            counted.append(sol.stats.split_blocks)
+        assert counted == [5, 6, 6, 6]
+
     def test_cold_gaussian_solves_stay_cheap(self):
         # Measured: 131, 1,469, 41 and 40 augmentations (1,681 in all) after
         # 11, 2, 5 and 6 sweeps. Without the sweeps they took 1,376, 1,827,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -238,6 +239,18 @@ class TestValidate:
         assert main([command, "--dir", str(solved_dir)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_persons_beyond_64_bits_is_input_error(self, solved_dir, capsys):
+        asg = solved_dir / "assignment.csv"
+        lines = asg.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = str(2**70)
+        lines[1] = ",".join(fields)
+        asg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {asg}: an integer field exceeds the 64-bit range\n"
+        )
+
     def test_person_moved_within_center_fails_conservation(self, solved_dir, capsys):
         asg = solved_dir / "assignment.csv"
         lines = asg.read_text().splitlines()
@@ -396,3 +409,62 @@ class TestSummaryDeterminism:
         sb.pop("wall_time_seconds")
         assert sa == sb
         assert (out_a / "cells.json").read_bytes() == (out_b / "cells.json").read_bytes()
+
+
+class TestBlockIds:
+    """Every id that solve accepts must come back from validate's read of
+    the result set."""
+
+    def write(self, path: Path, first_id: str):
+        path.write_text(
+            f"block_id,x,y,population\n{first_id},0.0,0.0,2\nb,1.0,0.0,2\n"
+            "c,0.0,1.0,2\nd,1.0,1.0,2\n",
+            encoding="utf-8",
+        )
+
+    def test_id_with_a_comma_is_an_input_error(self, tmp_path, capsys):
+        blocks = tmp_path / "b.csv"
+        self.write(blocks, '"a,b"')
+        out = tmp_path / "out"
+        code = main(["solve", "--input", str(blocks), "--k", "2", "--seed", "0",
+                     "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {blocks}:2: block_id 'a,b' holds a comma, quote or line break, "
+            "which the result files cannot hold\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first_id, written", [('"A1"', "A1"), (" f", "f")])
+    def test_quoted_and_padded_ids_round_trip(self, tmp_path, first_id, written):
+        blocks = tmp_path / "b.csv"
+        self.write(blocks, first_id)
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(blocks), "--k", "2", "--seed", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "blocks.csv").read_text().splitlines()[1].startswith(f"{written},")
+        assert main(["validate", "--dir", str(out)]) == EXIT_OK
+
+
+class TestArtifactFingerprint:
+    """SHA-256 of the result set of a 2,000-block lon/lat solve, measured
+    before the columnar CSV reader and the sort-free solver read-out. A
+    change that alters an artifact on purpose must re-pin these hashes and
+    record why in CHANGES.md."""
+
+    PINNED = {
+        "blocks.csv": "9943c118b738414b460bf2e8937ac78d3ae58cd913e036fad38f2f63e41c581d",
+        "assignment.csv": "60e4fe96928dacb91e1cd1f46c23ba2324158dc5ec09212f15b7f70eb2c9c46e",
+        "centers.csv": "729fadd3a4b01bf96d0c53252f2c7b3b276d7478c0bd623028380984e58ea26a",
+        "trace.csv": "ecf4d48f68bec448c2e52b9a5b3bf4e534d881d64d1a00bed5e9cd2539ae2b95",
+        "cells.json": "a71eb9f1927d4606687d58668bf4c1c19b59241fe7dee97985de57a6d20bf3de",
+    }
+
+    def test_lonlat_solve_artifacts(self, tmp_path):
+        blocks = tmp_path / "blocks.csv"
+        write_lonlat_instance(blocks, seed=8, n=2_000, m=60_000)
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(blocks), "--lonlat", "--k", "5", "--seed", "2",
+                     "--out", str(out)]) == EXIT_OK
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in self.PINNED}
+        assert got == self.PINNED

@@ -1,8 +1,12 @@
+import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from districtor import dataio, geometry
 from districtor.assignment import solve_balanced
@@ -18,7 +22,9 @@ from districtor.lloyd import LloydConfig, run
 from districtor.model import (
     BalancedAssignment,
     CenterSet,
+    Instance,
     IterationRecord,
+    ModelError,
     RunTrace,
     assignment_cost,
 )
@@ -95,6 +101,174 @@ class TestReadBlocks:
         write_csv(p, ["a,12.5,-3.25,2"])
         inst = read_blocks(p, k=1)
         assert inst.blocks[0].location == (12.5, -3.25)
+
+    @pytest.mark.parametrize("block_id", ['"a,b"', '"a""b"', '"a\nb"', '"a\rb"'])
+    def test_id_the_result_files_cannot_hold(self, tmp_path, block_id):
+        p = tmp_path / "blocks.csv"
+        write_csv(p, ["a,0,0,1", f"{block_id},1,1,1"])
+        with pytest.raises(DataError, match=r"blocks.csv:3: block_id .* holds a comma, quote"):
+            read_blocks(p, k=1)
+
+    def test_bad_row_in_a_later_chunk_names_its_line(self, tmp_path):
+        rows = [f"b{i},{i * 0.5!r},{-i * 0.25!r},{i % 7}" for i in range(6_000)]
+        p = tmp_path / "blocks.csv"
+        write_csv(p, rows)
+        assert p.stat().st_size > 2 * dataio._CHUNK_CHARS
+        inst = read_blocks(p, k=1)
+        assert inst.ids == tuple(f"b{i}" for i in range(6_000))
+        assert inst.populations().tolist() == [i % 7 for i in range(6_000)]
+        rows[4_999] = "b4999,1.0,2.0,x"
+        write_csv(p, rows)
+        with pytest.raises(DataError, match=r"blocks.csv:5001: population 'x' is not an integer"):
+            read_blocks(p, k=1)
+
+
+def reference_read_blocks(path, lonlat):
+    """Row-by-row block reader: csv.reader plus float() and int(), with the
+    documented rules and messages. The reference for read_blocks."""
+    expected = ["block_id", *(("lon", "lat") if lonlat else ("x", "y")), "population"]
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if [h.strip() for h in header] != expected:
+            raise DataError(
+                f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}"
+            )
+        seen = set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{path}:{lineno}"
+            if len(row) != 4:
+                raise DataError(f"{where}: expected 4 fields, got {len(row)}")
+            block_id = row[0].strip()
+            if not block_id:
+                raise DataError(f"{where}: empty block_id")
+            if set(block_id) & set(',"\r\n'):
+                raise DataError(
+                    f"{where}: block_id {block_id!r} holds a comma, quote or line break, "
+                    "which the result files cannot hold"
+                )
+            if block_id in seen:
+                raise DataError(f"{where}: duplicate block_id {block_id!r}")
+            seen.add(block_id)
+            try:
+                cx, cy = float(row[1]), float(row[2])
+            except ValueError:
+                raise DataError(f"{where}: non-numeric coordinate") from None
+            if not (math.isfinite(cx) and math.isfinite(cy)):
+                raise DataError(f"{where}: non-finite coordinate")
+            try:
+                pop = int(row[3])
+            except ValueError:
+                raise DataError(f"{where}: population {row[3]!r} is not an integer") from None
+            if pop < 0:
+                raise DataError(f"{where}: population {pop} is negative")
+            rows.append((block_id, cx, cy, pop))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    ids, xs, ys, pops = zip(*rows)
+    if lonlat:
+        bad = [i for i, lat in enumerate(ys) if abs(lat) >= 89.0]
+        if bad:
+            raise DataError(
+                f"{path}: block {ids[bad[0]]!r}: latitude {ys[bad[0]]} out of range (|lat| < 89.0)"
+            )
+        xs, ys = project(xs, ys, sum(ys) / len(ys))
+    return Instance(ids, np.column_stack((xs, ys)), pops, k=1, name=path.stem)
+
+
+NUMBERS = ("1.5", " 2.25 ", "1_0.5", "+5", "-0.0", "1e1", "12", "-3.75")
+POPULATIONS = ("0", "17", " 7 ", "1_000", "+5", "007", "250")
+DEFECTS = (
+    ("id", ""), ("id", "dup"), ("id", '"a,b"'), ("id", '"a""b"'),
+    ("x", "nan"), ("y", "inf"), ("x", "abc"), ("y", ""), ("y", "89.5"),
+    ("pop", "1e3"), ("pop", "-3"), ("pop", "x"), ("pop", "1.5"), ("pop", "9" * 19),
+    ("pop", "9" * 25), ("row", "extra"), ("row", "short"), ("row", "   "),
+    ("header", "wrong"), ("header", '"block_id"'),
+)
+
+
+@st.composite
+def block_files(draw):
+    """A block CSV, mostly well formed, in every shape the reader accepts,
+    with at most one defect."""
+    lonlat = draw(st.booleans())
+    quoted = draw(st.booleans())
+    n = draw(st.integers(0, 40))
+    number = st.one_of(st.sampled_from(NUMBERS), st.floats(-80.0, 80.0).map(repr))
+    rows = []
+    for i in range(n):
+        forms = [f"b{i}", f" b{i} ", f"b {i}"] + [f'"b{i}"', f'" b{i}"'] * quoted
+        block_id = draw(st.sampled_from(forms))
+        rows.append([block_id, draw(number), draw(number), draw(st.sampled_from(POPULATIONS))])
+    header = ["block_id", *(("lon", "lat") if lonlat else ("x", "y")), "population"]
+    if draw(st.booleans()):
+        header[0] = " block_id "
+    defect = draw(st.sampled_from([None] * len(DEFECTS) + list(DEFECTS)))
+    if defect is not None and rows:
+        where, value = defect
+        row = rows[draw(st.integers(0, n - 1))]
+        if where == "id":
+            row[0] = rows[0][0].strip('" ') if value == "dup" else value
+        elif where in ("x", "y", "pop"):
+            row[("x", "y", "pop").index(where) + 1] = value
+        elif value == "extra":
+            row.append("5")
+        elif value == "short":
+            row.pop()
+        else:
+            row[:] = [value]
+    elif defect is not None:
+        header[0] = defect[1] if defect[0] == "header" else header[0]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return lonlat, text
+
+
+def _outcome(read, path, lonlat):
+    try:
+        inst = read(path, lonlat)
+    except (DataError, ModelError) as exc:
+        return type(exc).__name__, str(exc)
+    return inst.ids, inst.locations().tobytes(), inst.populations().tolist()
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=block_files(), chunk=st.sampled_from([8, 40, 1 << 16]))
+def test_columnar_reader_agrees_with_the_row_reference(tmp_path_factory, case, chunk):
+    """Both readers give the same ids, location bytes and populations, or
+    fail with the same message; chunks of 8 and 40 characters put most
+    files across several chunks."""
+    lonlat, text = case
+    path = tmp_path_factory.getbasetemp() / "agree.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+        got = _outcome(lambda p, ll: read_blocks(p, k=1, lonlat=ll), path, lonlat)
+    assert got == _outcome(reference_read_blocks, path, lonlat)
+
+
+def test_assignment_columns_match_the_rows(tmp_path):
+    p = tmp_path / "assignment.csv"
+    p.write_text(
+        "block_id,center_index,persons_assigned\na,0,3\n\nb, 1 ,+4\nb,2,1_0", encoding="utf-8"
+    )
+    ids, centers, persons = dataio.read_assignment_columns(p)
+    assert ids == ["a", "b", "b"]
+    assert centers.dtype == persons.dtype == np.int64
+    assert (centers.tolist(), persons.tolist()) == ([0, 1, 2], [3, 4, 10])
+    assert dataio.read_assignment_csv(p) == [("a", 0, 3), ("b", 1, 4), ("b", 2, 10)]
+    p.write_text(p.read_text().replace("\n", "\r\n").replace("a,", '"a",'), encoding="utf-8")
+    assert dataio.read_assignment_csv(p) == [("a", 0, 3), ("b", 1, 4), ("b", 2, 10)]
+    p.write_text("block_id,center_index,persons_assigned\na,0,3\nb,x,1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"assignment.csv:3: malformed row"):
+        dataio.read_assignment_columns(p)
 
 
 class TestProjection:

@@ -193,3 +193,11 @@ def test_relocation_table_stays_exact(seed, k, n, side, zeros, heavy, warm):
     sol = solver.solution()
     flow.certify(inst, sol)
     assert sol.objective == network_simplex_transport(costs, supplies, demands)
+    # the read-out merges the split blocks into the whole-block entries; a
+    # lexsort of every positive flow gives the same entries
+    y, x = np.nonzero([[solver.flow_at(y, x) for x in range(k)] for y in range(n)])
+    order = np.lexsort((x, y))
+    expect = (y[order], x[order], np.array([solver.flow_at(*a) for a in zip(y, x)])[order])
+    for got, want in zip((sol.supply_idx, sol.demand_idx, sol.amounts), expect):
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert sol.stats.split_blocks == int(np.count_nonzero(np.bincount(y) > 1))

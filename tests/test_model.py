@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -232,6 +233,64 @@ class TestAssignmentCost:
         # entries are sorted by (block, center)
         assert asg.center_indices.tolist() == [0, 1]
         assert assignment_cost(inst, centers, asg) == 2.0
+
+
+class TestAssignmentEntries:
+    """BalancedAssignment keeps its entries in (block, center) order: entries
+    already in order are kept as given, others are sorted as np.lexsort
+    sorts them, and centroids have the bits of a sequential sum."""
+
+    @staticmethod
+    def lexsorted(bi, ci, pe):
+        order = np.lexsort((ci, bi))
+        return bi[order].tolist(), ci[order].tolist(), pe[order].tolist()
+
+    @given(
+        entries=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(1, 9)), max_size=40
+        ),
+    )
+    def test_unsorted_and_duplicate_entries_come_out_sorted(self, entries):
+        bi, ci, pe = (np.array([e[j] for e in entries], dtype=np.int64) for j in range(3))
+        asg = BalancedAssignment(block_indices=bi, center_indices=ci, persons=pe)
+        got = (asg.block_indices.tolist(), asg.center_indices.tolist(), asg.persons.tolist())
+        assert got == self.lexsorted(bi, ci, pe)
+        # sorted entries stay as they are, duplicates included
+        again = BalancedAssignment(*(np.array(col) for col in got))
+        assert (again.block_indices.tolist(), again.center_indices.tolist(),
+                again.persons.tolist()) == got
+
+    def test_owns_read_only_copies(self):
+        bi = np.array([0, 1], dtype=np.int64)
+        asg = BalancedAssignment(block_indices=bi, center_indices=[0, 0], persons=[1, 2])
+        bi[0] = 1
+        assert asg.block_indices.tolist() == [0, 1]
+        assert bi.flags.writeable and not asg.block_indices.flags.writeable
+
+    def test_centroids_have_the_bits_of_a_sequential_sum(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 300))
+            k = int(rng.integers(1, 9))
+            locs = rng.normal(0.0, 100.0, size=(n, 2)) * 10.0 ** rng.integers(-3, 4)
+            inst = make_instance(locs, rng.integers(0, 50, size=n), k=1)
+            e = int(rng.integers(1, 2 * n + 1))
+            bi = rng.integers(0, n, size=e)
+            # center k - 1 receives no entry: its centroid is NaN
+            ci = rng.integers(0, max(k - 1, 1), size=e)
+            pe = rng.integers(1, 10**6, size=e)
+            asg = BalancedAssignment(block_indices=bi, center_indices=ci, persons=pe)
+            # the 2-d np.add.at sum that bincount replaced
+            sums = np.zeros((k, 2))
+            np.add.at(
+                sums, asg.center_indices,
+                inst.locations()[asg.block_indices] * asg.persons.astype(np.float64)[:, None],
+            )
+            counts = asg.per_center_population(k).astype(np.float64)
+            counts[counts == 0] = np.nan
+            got = asg.centroids(inst, k)
+            assert got.tobytes() == (sums / counts[:, None]).tobytes()
+            if k > 1:
+                assert np.isnan(got[k - 1]).all()
 
 
 class TestRunTrace:
