@@ -14,12 +14,17 @@ Specialized to instances with many supply nodes and few demand nodes
    remaining overfill from the greedy start, augmenting along shortest
    paths in a compact demand-node graph whose arc (a, b) carries the
    cheapest relocation of one flow unit from demand node a to demand node
-   b. A k x k table holds the current minimum of every arc, and the
-   searches read it; it is kept exact in O(k) work per supply node that
-   joins or leaves a demand node, from lazily pruned heaps of relocation
-   costs per ordered pair. One augmentation costs O(k^2) table reads plus
-   O(k log n) heap work per moved supply node, instead of a scan of all
-   supply nodes.
+   b. A k x k table holds the current minimum of every arc; it is kept
+   exact in O(k) work per supply node that joins or leaves a demand node,
+   from lazily pruned heaps of relocation costs per ordered pair. One
+   integer bitset per demand node marks its tight arcs, those of zero
+   reduced cost. The search for an augmenting path walks only the bitsets
+   and reads no table entry. When it fails, a Dijkstra by distance levels
+   reprices from the set it reached: it reads the rows of the nodes it
+   settles, at the nodes still outside only, and derives the new tight
+   arcs from the arcs that achieved each distance. An augmentation costs
+   O(k) bitset steps plus O(k log n) heap work per moved supply node,
+   instead of a scan of all supply nodes.
 3. Read-out. The greedy start is kept as an array of demand nodes; the
    repair's changes are written back at the supply nodes it moved, which
    leaves the whole-node entries in supply order, and the entries of the
@@ -129,6 +134,9 @@ class SolveStats:
     queue's minimum, ``stale_pops`` the queue entries dropped because their
     block had left the pair's source center or was already counted, and
     ``heap_pushes`` the entries pushed onto the queues' overflow heaps.
+    ``table_reads`` counts the relocation-table entries that the searches
+    read: the path search reads none, and a reprice reads the entries of
+    each node it settles at the nodes outside.
     ``split_blocks`` counts the blocks whose flow ends split across centers.
     """
 
@@ -140,6 +148,7 @@ class SolveStats:
     queue_reads: int = 0
     stale_pops: int = 0
     heap_pushes: int = 0
+    table_reads: int = 0
     split_blocks: int = 0
 
 
@@ -360,7 +369,12 @@ class _Solver:
     State invariant: every positive-flow arc (y, x) minimizes
     C[y, x'] - v[x'] over x'. Augmenting only along arcs that are tight
     after repricing preserves it, so the final flow and potentials satisfy
-    complementary slackness by construction.
+    complementary slackness by construction. It also makes every reduced
+    cost rel[a][b] + v[a] - v[b] of the relocation table nonnegative.
+
+    Bit b of tight[a] is set iff rel[a][b] + v[a] == v[b]. _enroll and
+    _depart keep it where rel changes, and _reprice where v changes; the
+    searches read the bitsets, never the table, to find tight arcs.
     """
 
     def __init__(self, inst: TransshipmentInstance, warm_potentials: np.ndarray | None):
@@ -392,6 +406,7 @@ class _Solver:
             self.C, inst.supplies, inst.demands, v0
         )
         self.v = v0.tolist()
+        self.demands: list[int] = inst.demands.tolist()
 
         # base[y]: the single center holding block y's whole flow, or -1 when
         # y is inactive or split across centers (then see self.split). The
@@ -408,6 +423,7 @@ class _Solver:
         self.queue_reads = 0
         self.stale_pops = 0
         self.heap_pushes = 0
+        self.table_reads = 0
 
         # rel[a][b]: the cheapest relocation increment C[y, b] - C[y, a] over
         # the members y of a (flow at a > 0), and wit[a][b] a member that
@@ -415,9 +431,13 @@ class _Solver:
         # searches read this k x k table; _enroll and _depart keep it exact.
         # start[a]: the members of a in the greedy start; joined[a]: the
         # supply nodes that became members of a later, departed ones
-        # included. See _queue.
+        # included. See _queue. tight[a]: the bitset of the tight arcs of
+        # row a; reach: the nodes the last failed path search reached.
         self.rel: list[list[int | None]] = []
         self.wit: list[list[int | None]] = []
+        self.tight: list[int] = []
+        self.reach = 0
+        v = self.v
         self.start: list[np.ndarray] = []
         self.joined: list[list[int]] = [[] for _ in range(k)]
         cols = np.arange(k)
@@ -427,6 +447,7 @@ class _Solver:
             if ids.size == 0:
                 self.rel.append([None] * k)
                 self.wit.append([None] * k)
+                self.tight.append(0)
                 continue
             # |C| <= 2**41 by the pack-key guard, so increments fit int64
             inc = self.C[ids] - self.C[ids, a][:, np.newaxis]
@@ -437,6 +458,10 @@ class _Solver:
             rel[a] = wit[a] = None
             self.rel.append(rel)
             self.wit.append(wit)
+            va = v[a]
+            self.tight.append(
+                sum(1 << b for b, r in enumerate(rel) if r is not None and r + va == v[b])
+            )
         # queues[a][b]: packed (C[y, b] - C[y, a], y) entries over members y
         # of a, built on first use. Entries of departed members are pruned
         # lazily when they reach the front.
@@ -499,8 +524,9 @@ class _Solver:
         return True
 
     def _enroll(self, y: int, x: int) -> None:
-        """Record new member y of x: lower the row x minima it beats and add
-        its entries to the pair queues of x that are built already."""
+        """Record new member y of x: lower the row x minima it beats, mark
+        those it makes tight, and add its entries to the pair queues of x
+        that are built already."""
         self.joined[x].append(y)
         C = self.C
         incs = (C[y] - C[y, x]).tolist()
@@ -508,6 +534,10 @@ class _Solver:
         rel = self.rel[x]
         wit = self.wit[x]
         queues = self.queues[x]
+        v = self.v
+        vx = v[x]
+        # a lowered minimum was not tight before, as reduced costs are >= 0
+        tight = 0
         for b, inc in enumerate(incs):
             if b == x:
                 continue
@@ -515,20 +545,31 @@ class _Solver:
             if r is None or inc < r:
                 rel[b] = inc
                 wit[b] = y
+                if inc + vx == v[b]:
+                    tight |= 1 << b
             queue = queues[b]
             if queue is not None:
                 queue.push(inc * pack + y)
                 self.heap_pushes += 1
+        self.tight[x] |= tight
 
     def _depart(self, y: int, x: int) -> None:
-        """Re-read the row x minima that y, no longer a member of x, achieved."""
+        """Re-read the row x minima that y, no longer a member of x, achieved,
+        and unmark those that rise above tight."""
         wit = self.wit[x]
         if y not in wit:
             return
         rel = self.rel[x]
+        v = self.v
+        vx = v[x]
+        tight = self.tight[x]
         for b in range(self.k):
             if wit[b] == y:
-                rel[b], wit[b] = self._front(x, b)
+                r, wit[b] = self._front(x, b)
+                rel[b] = r
+                if r is None or r + vx != v[b]:
+                    tight &= ~(1 << b)
+        self.tight[x] = tight
 
     def _move(self, y: int, a: int, b: int, q: int) -> None:
         self.touched.add(y)
@@ -570,78 +611,122 @@ class _Solver:
 
     # -- shortest paths on the demand-node graph --------------------------
 
-    def _dijkstra_reprice(self) -> None:
-        """Reprice potentials so a tight path reaches some deficit node."""
-        self.reprices += 1
-        k = self.k
-        v = self.v
-        demands = self.inst.demands
-        dist: list[int | None] = [None] * k
-        heap: list[tuple[int, int]] = []
-        for x in range(k):
-            if self.received[x] > demands[x]:
-                dist[x] = 0
-                heapq.heappush(heap, (0, x))
-        done = [False] * k
-        rel = self.rel
-        target = -1
-        target_dist = 0
-        while heap:
-            d, a = heapq.heappop(heap)
-            if done[a]:
-                continue
-            done[a] = True
-            if self.received[a] < demands[a]:
-                target = a
-                target_dist = d
-                break
-            va = v[a]
-            row = rel[a]
-            for b in range(k):
-                raw = row[b]
-                if raw is None or done[b]:
-                    continue
-                nd = d + raw + va - v[b]
-                if dist[b] is None or nd < dist[b]:
-                    dist[b] = nd
-                    heapq.heappush(heap, (nd, b))
-        if target < 0:
-            raise FlowError("internal: no augmenting path; instance not repairable")
-        self.v = [
-            va + (target_dist if d is None else min(d, target_dist))
-            for va, d in zip(v, dist)
-        ]
-
     def _find_tight_path(self) -> list[int] | None:
-        """BFS a path of tight arcs from any excess node to any deficit node."""
-        k = self.k
-        v = self.v
-        demands = self.inst.demands
-        rel = self.rel
-        parent = [-2] * k  # -2 unvisited, -1 source
-        queue: list[int] = []
-        for x in range(k):
-            if self.received[x] > demands[x]:
-                parent[x] = -1
-                queue.append(x)
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            if self.received[a] < demands[a]:
+        """BFS a path of tight arcs from any excess node to any deficit node.
+
+        Nodes are visited in FIFO order, each one's successors in ascending
+        index. When no path exists, self.reach is left as the bitset of the
+        nodes reached.
+        """
+        received = self.received
+        demands = self.demands
+        tight = self.tight
+        parent = [-1] * self.k  # -1 at the sources
+        queue = [x for x in range(self.k) if received[x] > demands[x]]
+        seen = sum(1 << x for x in queue)
+        for a in queue:  # the loop also visits the nodes appended below
+            if received[a] < demands[a]:
                 path = [a]
                 while parent[path[-1]] != -1:
                     path.append(parent[path[-1]])
                 path.reverse()
                 return path
-            va = v[a]
-            row = rel[a]
-            for b in range(k):
-                raw = row[b]
-                if raw is not None and raw + va == v[b] and parent[b] == -2:
-                    parent[b] = a
-                    queue.append(b)
+            new = tight[a] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                b = low.bit_length() - 1
+                parent[b] = a
+                queue.append(b)
+                new ^= low
+        self.reach = seen
         return None
+
+    def _reprice(self) -> None:
+        """Raise the potentials so a tight path reaches some deficit node.
+
+        A Dijkstra by distance levels on the reduced costs, from the reach
+        of the failed path search at distance 0. A level is the nodes of the
+        least key outside, closed over the tight arcs among the nodes
+        outside; only the arcs from a newly settled level to the nodes
+        outside are relaxed. The first level D that holds a deficit node
+        ends it. Each node rises by min(distance, D), the same shift for any
+        order of ties, since shortest distances are unique.
+
+        The tight bitsets follow without a re-scan. An arc from a settled
+        node a is tight afterwards iff it stays within a's level and was
+        tight, or it achieved the key of the node it enters, at that node's
+        level or at D. An arc from any other node into a settled node, which
+        rose less, is not tight; the others keep their reduced costs.
+        """
+        self.reprices += 1
+        k = self.k
+        v = self.v
+        rel = self.rel
+        tight = self.tight
+        received = self.received
+        demands = self.demands
+        key: list[int | None] = [None] * k
+        src = [0] * k  # bitset of the settled nodes whose arcs achieve key
+        settled = 0
+        level = self.reach
+        d = 0
+        while True:
+            settled |= level
+            out = [b for b in range(k) if not settled >> b & 1]
+            m = level
+            while m:
+                low = m & -m
+                a = low.bit_length() - 1
+                m ^= low
+                tight[a] &= level
+                row = rel[a]
+                base = v[a] = v[a] + d  # settled: a rises by its distance
+                self.table_reads += len(out)
+                for b in out:
+                    r = row[b]
+                    if r is None:
+                        continue
+                    nd = base + r - v[b]
+                    kb = key[b]
+                    if kb is None or nd < kb:
+                        key[b] = nd
+                        src[b] = low
+                    elif nd == kb:
+                        src[b] |= low
+            keys = [key[b] for b in out if key[b] is not None]
+            if not keys:
+                raise FlowError("internal: no augmenting path; instance not repairable")
+            d = min(keys)
+            level = 0
+            queue = []
+            for b in out:
+                if key[b] == d:
+                    bit = 1 << b
+                    level |= bit
+                    queue.append(b)
+                    m = src[b]
+                    while m:
+                        low = m & -m
+                        tight[low.bit_length() - 1] |= bit
+                        m ^= low
+            found = False
+            for a in queue:  # the loop also visits the nodes appended below
+                if received[a] < demands[a]:
+                    found = True
+                    break
+                new = tight[a] & ~(settled | level)
+                level |= new
+                while new:
+                    low = new & -new
+                    queue.append(low.bit_length() - 1)
+                    new ^= low
+            if found:
+                break
+        for x in range(k):
+            if not settled >> x & 1:
+                v[x] += d
+                tight[x] &= ~settled
 
     def _hop_capacity(self, a: int, b: int, bound: int) -> int:
         """Total flow on tight (a -> b) relocations, counted up to bound.
@@ -676,10 +761,10 @@ class _Solver:
         return cap
 
     def _push(self, path: list[int]) -> None:
-        demands = self.inst.demands
+        demands = self.demands
         theta = min(
-            self.received[path[0]] - int(demands[path[0]]),
-            int(demands[path[-1]]) - self.received[path[-1]],
+            self.received[path[0]] - demands[path[0]],
+            demands[path[-1]] - self.received[path[-1]],
         )
         for a, b in zip(path, path[1:]):
             theta = min(theta, self._hop_capacity(a, b, theta))
@@ -715,7 +800,6 @@ class _Solver:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> None:
-        demands = self.inst.demands
         guard = self.sweep_stats.excess_after + self.k + 8
         while True:
             while True:
@@ -723,12 +807,12 @@ class _Solver:
                 if path is None:
                     break
                 self._push(path)
-            if all(r == int(d) for r, d in zip(self.received, demands)):
+            if self.received == self.demands:
                 return
             guard -= 1
             if guard < 0:
                 raise FlowError("internal: augmentation guard exceeded")
-            self._dijkstra_reprice()
+            self._reprice()
 
     def solution(self) -> FlowSolution:
         """The flow as entries in (supply, demand) order, with potentials.
@@ -765,8 +849,12 @@ class _Solver:
         # by a constant preserves feasibility and slackness.
         vmin = min(self.v)
         v = np.array([x - vmin for x in self.v], dtype=np.int64)
-        z = (self.C - v[np.newaxis, :]).min(axis=1)
-        objective = int(np.dot(amounts, self.C[supply_idx, demand_idx]))
+        # one column at a time: a min along the short axis of C is slower
+        C = self.C
+        z = C[:, 0] - v[0]
+        for x in range(1, self.k):
+            np.minimum(z, C[:, x] - v[x], out=z)
+        objective = int(np.dot(amounts, C[supply_idx, demand_idx]))
         stats = dataclasses.replace(
             self.sweep_stats,
             augmentations=self.augmentations,
@@ -774,6 +862,7 @@ class _Solver:
             queue_reads=self.queue_reads,
             stale_pops=self.stale_pops,
             heap_pushes=self.heap_pushes,
+            table_reads=self.table_reads,
             split_blocks=len(self.split),
         )
         return FlowSolution(

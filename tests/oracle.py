@@ -109,6 +109,44 @@ def network_simplex_transport(costs, supplies, demands) -> int:
     return int(cost)
 
 
+def dijkstra_reprice(rel, v, received, demands) -> list[int]:
+    """Demand potentials after one reprice of successive shortest paths.
+
+    A heap Dijkstra over the whole relocation table ``rel`` (None where an
+    arc is absent) from every excess node at distance 0, on the reduced
+    costs ``rel[a][b] + v[a] - v[b]``, stopped at the first deficit node it
+    settles, at distance D. Each potential rises by min(distance, D),
+    unreached nodes by D. This is the search that the production solver's
+    level-by-level reprice replaced; it shares none of its bookkeeping.
+    """
+    import heapq
+
+    k = len(v)
+    dist: list[int | None] = [None] * k
+    heap: list[tuple[int, int]] = []
+    for x in range(k):
+        if received[x] > demands[x]:
+            dist[x] = 0
+            heapq.heappush(heap, (0, x))
+    done = [False] * k
+    while heap:
+        d, a = heapq.heappop(heap)
+        if done[a]:
+            continue
+        done[a] = True
+        if received[a] < demands[a]:
+            return [va + (d if da is None else min(da, d)) for va, da in zip(v, dist)]
+        for b in range(k):
+            raw = rel[a][b]
+            if raw is None or done[b]:
+                continue
+            nd = d + raw + v[a] - v[b]
+            if dist[b] is None or nd < dist[b]:
+                dist[b] = nd
+                heapq.heappush(heap, (nd, b))
+    raise ValueError("no deficit node is reachable")
+
+
 def brute_force_balanced(inst: Instance, centers: CenterSet) -> tuple[BalancedAssignment, float]:
     """Minimum-cost balanced assignment by exhaustive enumeration.
 

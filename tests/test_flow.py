@@ -226,6 +226,18 @@ def bound_instance(rng, n, k, max_supply=30):
     return flow.TransshipmentInstance(costs=costs, supplies=supplies, demands=demands)
 
 
+GUARD_COST = 2**40  # times a total supply of 2**22: the objective guard's 2**62
+
+
+def guard_instance(corner):
+    """Two blocks of 2**21 persons and two centers. Every cost but
+    costs[0, 0] = corner is 2**40 with corner's sign, so every flow of the
+    instance at the guard costs exactly +-2**62."""
+    costs = np.full((2, 2), int(np.sign(corner)) * GUARD_COST, dtype=np.int64)
+    costs[0, 0] = corner
+    return flow.TransshipmentInstance(costs=costs, supplies=[2**21] * 2, demands=[2**21] * 2)
+
+
 class TestOverflowEdges:
     @pytest.mark.parametrize("seed", range(33))
     def test_costs_at_the_pack_bound_certify(self, seed):
@@ -240,6 +252,32 @@ class TestOverflowEdges:
         rng = np.random.default_rng(4)
         inst = bound_instance(rng, 2**19 - 1, 2, max_supply=3)
         flow.certify(inst, flow.solve_mcf(inst, warm_potentials=EDGE_POTENTIALS))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_objective_guard_edge_certifies(self, sign):
+        inst = guard_instance(sign * GUARD_COST)
+        sol = flow.solve_mcf(inst)
+        flow.certify(inst, sol)
+        assert sol.objective == sign * 2**62
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_costs_at_the_objective_guard_certify(self, seed):
+        # 64 blocks of 2**16 persons, costs in [-2**40, 2**40] with both
+        # extremes present, seven centers
+        rng = np.random.default_rng(seed)
+        costs = rng.integers(-GUARD_COST, GUARD_COST + 1, size=(64, 7))
+        costs[0, 0] = GUARD_COST
+        costs[-1, -1] = -GUARD_COST
+        demands = np.full(7, 2**22 // 7)
+        demands[: 2**22 % 7] += 1
+        inst = flow.TransshipmentInstance(costs, np.full(64, 2**16), demands)
+        for warm in (None, rng.choice(EDGE_POTENTIALS, size=7)):
+            flow.certify(inst, flow.solve_mcf(inst, warm_potentials=warm))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_past_the_objective_guard_rejected(self, sign):
+        with pytest.raises(flow.OverflowRiskError, match="64-bit overflow"):
+            guard_instance(sign * (GUARD_COST + 1))
 
     def test_one_past_the_pack_bound_rejected(self):
         inst = flow.TransshipmentInstance(

@@ -21,7 +21,7 @@ from districtor import flow
 from districtor.assignment import ScaledCostPolicy, cost_model_for
 from districtor.model import balanced_capacities
 from tests.conftest import distribute_population, make_instance
-from tests.oracle import linprog_transport, network_simplex_transport
+from tests.oracle import dijkstra_reprice, linprog_transport, network_simplex_transport
 
 pytest.importorskip("scipy")
 pytest.importorskip("networkx")
@@ -127,16 +127,36 @@ def test_centers_too_far_for_exact_costs_end_cleanly():
 
 
 class _CheckedSolver(flow._Solver):
-    """The production solver, checking its relocation table after every push."""
+    """The production solver, checking its relocation table and tight-arc
+    bitsets after every push, and its potentials and bitsets after every
+    reprice."""
 
     def __init__(self, inst, warm):
         super().__init__(inst, warm)
         self.checks = 0
+        self.reprice_checks = 0
         self.check_table()
 
     def _push(self, path):
         super()._push(path)
         self.check_table()
+
+    def _reprice(self):
+        want = dijkstra_reprice(self.rel, self.v, self.received, self.demands)
+        super()._reprice()
+        assert self.v == want
+        self.check_tight()
+        self.reprice_checks += 1
+
+    def check_tight(self):
+        """Bit b of tight[a] is set iff rel[a][b] + v[a] == v[b], by brute
+        force over the whole table."""
+        k, rel, v = self.k, self.rel, self.v
+        for a in range(k):
+            assert 0 <= self.tight[a] < 1 << k
+            for b in range(k):
+                tight = rel[a][b] is not None and rel[a][b] + v[a] == v[b]
+                assert (self.tight[a] >> b & 1) == tight
 
     def check_table(self):
         """rel[a][b] is the least C[y, b] - C[y, a] over the members y of a,
@@ -158,6 +178,7 @@ class _CheckedSolver(flow._Solver):
                 y = self.wit[a][b]
                 assert flows[y, a] > 0
                 assert int(C[y, b] - C[y, a]) == self.rel[a][b]
+        self.check_tight()
 
 
 @settings(deadline=None, max_examples=60)
@@ -173,7 +194,8 @@ class _CheckedSolver(flow._Solver):
 def test_relocation_table_stays_exact(seed, k, n, side, zeros, heavy, warm):
     """Blocks and centers on a small integer grid give many tied costs;
     zero supplies leave blocks out of the flow, and heavy blocks above a
-    district's demand must split."""
+    district's demand must split. Every reprice must give the reference
+    Dijkstra's potentials."""
     rng = np.random.default_rng(seed)
     locs = rng.integers(0, side + 1, size=(n, 2))
     centers = rng.integers(0, side + 1, size=(k, 2))
@@ -190,6 +212,7 @@ def test_relocation_table_stays_exact(seed, k, n, side, zeros, heavy, warm):
     solver = _CheckedSolver(inst, potentials)
     solver.run()
     assert solver.checks == solver.augmentations + 1
+    assert solver.reprice_checks == solver.reprices
     sol = solver.solution()
     flow.certify(inst, sol)
     assert sol.objective == network_simplex_transport(costs, supplies, demands)
