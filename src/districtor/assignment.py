@@ -56,22 +56,30 @@ class CostModel:
         return 2.0 * self.units_per_cost
 
     def int_costs(self, points: np.ndarray, center_positions: np.ndarray) -> np.ndarray:
-        """Integer cost matrix between points (n, 2) and centers (k, 2)."""
-        return self.paired_costs(points[:, None, :], center_positions[None, :, :])
+        """Integer cost matrix between points (n, 2) and centers (k, 2).
+
+        The (n, k) result is column-major, the transpose of a C-ordered
+        (k, n) array, so each center's column is contiguous: the flow
+        solver's passes run down columns.
+        """
+        return self.paired_costs(points[None, :, :], center_positions[:, None, :]).T
 
     def paired_costs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Integer costs between the points of a and b, (..., 2) arrays that
         broadcast against each other; every cost has the same bits as the
         matching entry of ``int_costs``."""
-        dx = a[..., 0] - b[..., 0]
+        scaled = a[..., 0] - b[..., 0]
         dy = a[..., 1] - b[..., 1]
-        scaled = (dx * dx + dy * dy) * (self.scale / (self.diameter * self.diameter))
+        np.multiply(scaled, scaled, out=scaled)
+        np.multiply(dy, dy, out=dy)
+        np.add(scaled, dy, out=scaled)
+        np.multiply(scaled, self.scale / (self.diameter * self.diameter), out=scaled)
         # scaled is nonnegative; NaN and inf fail the comparison too
         if scaled.size and not float(scaled.max()) < 2.0**62:
             raise flow.OverflowRiskError(
                 "scaled costs exceed the exact integer range; lower the cost scaling"
             )
-        return np.rint(scaled).astype(np.int64)
+        return np.rint(scaled, out=scaled).astype(np.int64)
 
 
 def cost_model_for(inst: Instance, policy: ScaledCostPolicy) -> CostModel:

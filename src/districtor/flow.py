@@ -9,7 +9,11 @@ Specialized to instances with many supply nodes and few demand nodes
    that prefer its node hold its demand. They start from the given
    potentials and stop once the greedy start, every supply node at its
    cheapest demand node, overfills by at most 1/32 of an average demand, or
-   when a sweep does not lower that overfill.
+   when a sweep does not lower that overfill. The greedy start is searched
+   for once, under the starting potentials; after that each sweep tracks
+   it as it goes. Every n-sized pass, here and in the read-out and the
+   certificate, runs down one demand node's column of the cost matrix,
+   which is contiguous when the matrix is column-major.
 2. Repair. Successive shortest paths with node potentials move the
    remaining overfill from the greedy start, augmenting along shortest
    paths in a compact demand-node graph whose arc (a, b) carries the
@@ -75,12 +79,17 @@ class TransshipmentInstance:
     """Dense bipartite min-cost flow instance.
 
     ``costs[y, x]`` is the integer cost of shipping one unit from supply
-    node y to demand node x. Every (supply, demand) arc exists.
+    node y to demand node x. Every (supply, demand) arc exists. Costs in any
+    memory layout are valid and kept as given; column-major costs, as
+    ``CostModel.int_costs`` builds them, are the fast layout, since the
+    solver's passes run down one demand node's column at a time.
+    ``max_cost`` is the largest cost magnitude, an exact Python int.
     """
 
     costs: np.ndarray  # (n, k) int64
     supplies: np.ndarray  # (n,) int64, nonnegative
     demands: np.ndarray  # (k,) int64, nonnegative
+    max_cost: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         costs = np.asarray(self.costs, dtype=np.int64)
@@ -103,7 +112,7 @@ class TransshipmentInstance:
             raise InfeasibleError(
                 f"total supply {total} != total demand {int(demands.sum())}"
             )
-        max_cost = int(np.abs(costs).max()) if costs.size else 0
+        max_cost = _magnitude(costs)
         if total > 0 and max_cost > _SAFE_OBJECTIVE // max(total, 1):
             raise OverflowRiskError(
                 "cost magnitudes risk 64-bit overflow on a feasible flow; "
@@ -112,6 +121,7 @@ class TransshipmentInstance:
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "supplies", supplies)
         object.__setattr__(self, "demands", demands)
+        object.__setattr__(self, "max_cost", max_cost)
         for arr in (costs, supplies, demands):
             arr.setflags(write=False)
 
@@ -122,6 +132,12 @@ class TransshipmentInstance:
     @property
     def n_demand(self) -> int:
         return int(self.costs.shape[1])
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """Largest |entry| of an int64 array as a Python int, exact at -2**63,
+    where np.abs wraps."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 @dataclass(frozen=True)
@@ -207,34 +223,45 @@ def certify(inst: TransshipmentInstance, sol: FlowSolution) -> None:
             f"certificate: objective mismatch, reported {sol.objective}, "
             f"recomputed {objective}"
         )
-    reduced = inst.costs - sol.demand_potentials[np.newaxis, :]
-    if np.any(sol.supply_potentials[:, np.newaxis] > reduced):
-        raise FlowError("certificate: dual infeasible")
-    tight = reduced[sol.supply_idx, sol.demand_idx] == sol.supply_potentials[sol.supply_idx]
-    if not np.all(tight):
+    u = sol.supply_potentials
+    v = sol.demand_potentials
+    C = inst.costs
+    for x in range(inst.n_demand):
+        if np.any(u > C[:, x] - v[x]):
+            raise FlowError("certificate: dual infeasible")
+    if not np.array_equal(arc_costs - v[sol.demand_idx], u[sol.supply_idx]):
         raise FlowError("certificate: complementary slackness violated")
 
 
-def _greedy(
-    Ca: np.ndarray, s: np.ndarray, demands: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Each supply row's cheapest demand node under potentials v (lowest
-    index on ties), the amount each demand node receives, and the excess:
-    the total overfill of the demand nodes."""
-    choice = np.argmin(Ca - v[np.newaxis, :], axis=1)
-    received = np.zeros(v.shape[0], dtype=np.int64)
+def _greedy(Ca: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each supply row's cheapest demand node under potentials v, lowest
+    index on ties, taken one column at a time."""
+    best = Ca[:, 0] - v[0]
+    choice = np.zeros(best.shape[0], dtype=np.int64)
+    for x in range(1, v.shape[0]):
+        own = Ca[:, x] - v[x]
+        np.copyto(choice, x, where=own < best)
+        np.minimum(best, own, out=best)
+    return choice
+
+
+def _load(choice: np.ndarray, s: np.ndarray, demands: np.ndarray) -> tuple[np.ndarray, int]:
+    """The amount each demand node receives when every supply row sends its
+    supply to its choice, and the excess: the total overfill."""
+    received = np.zeros(demands.shape[0], dtype=np.int64)
     np.add.at(received, choice, s)
-    return choice, received, int(np.maximum(received - demands, 0).sum())
+    return received, int(np.maximum(received - demands, 0).sum())
 
 
-def _first_reaching(keys: np.ndarray, w: np.ndarray, need: int) -> int:
+def _first_reaching(keys: np.ndarray, w: np.ndarray, need: int, w_sum: int) -> int:
     """Smallest key at which the weight of the keys up to it reaches need.
 
-    Requires 0 < need <= w.sum(). Only the smallest keys are sorted: enough
-    of them to carry about twice the needed weight, doubled until they do.
+    Requires 0 < need <= w_sum == w.sum(). Only the smallest keys are
+    sorted: enough of them to carry about twice the needed weight, doubled
+    until they do.
     """
     total = len(keys)
-    j = min(total, 2 * (need * total // int(w.sum())) + 16)
+    j = min(total, 2 * (need * total // w_sum) + 16)
     while True:
         part = np.argpartition(keys, j - 1)[:j] if j < total else np.arange(total)
         part = part[np.argsort(keys[part])]
@@ -250,41 +277,57 @@ def _quantile(t: np.ndarray, s: np.ndarray, d: int, cur: int) -> int:
     if d == 0:
         return int(t.min())
     below = t < cur
-    held = int(s[below].sum())
+    held = int(s @ below)
     if held >= d:  # too much prefers this node strictly: lower the threshold
-        return -_first_reaching(-t[below], s[below], held - d + 1)
+        return -_first_reaching(-t[below], s[below], held - d + 1, held)
     above = t > cur
-    short = d - (int(s.sum()) - int(s[above].sum()))
+    held_above = int(s @ above)
+    short = d - (int(s.sum()) - held_above)
     if short <= 0:
         return cur
-    return _first_reaching(t[above], s[above], short)
+    return _first_reaching(t[above], s[above], short, held_above)
 
 
-def _sweep(Ca: np.ndarray, s: np.ndarray, demands: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _sweep(
+    Ca: np.ndarray, s: np.ndarray, demands: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """One Gauss-Seidel pass of exact coordinate ascent on the dual.
 
     In turn, v[x] becomes the quantile at which the rows that prefer x, that
     is C[y, x] - v[x] below their best other reduced cost, hold demands[x].
     The result is normalized to max(v) = 0, which keeps every intermediate
-    within int64 for potentials spread up to 2**62.
+    within int64 for potentials spread up to 2**62. Also returns each row's
+    cheapest demand node under the result, lowest index on ties: the greedy
+    start. Every pass reads one column of Ca; k >= 2.
     """
     v = v - v.max()
     k = v.shape[0]
-    # after[:, x]: cheapest reduced cost over nodes x.. at the old potentials
-    after = np.minimum.accumulate((Ca - v[np.newaxis, :])[:, ::-1], axis=1)[:, ::-1]
-    before = None  # cheapest reduced cost over nodes ..x-1 at the new potentials
+    # buf[x], x >= 1: cheapest reduced cost over nodes x.. at the old
+    # potentials, consumed at step x - 1. buf[0]: cheapest reduced cost over
+    # the nodes done so far, at the new potentials.
+    buf = np.empty((k, Ca.shape[0]), dtype=np.int64)
+    np.subtract(Ca[:, k - 1], v[k - 1], out=buf[k - 1])
+    for x in range(k - 2, 0, -1):
+        np.minimum(buf[x + 1], Ca[:, x] - v[x], out=buf[x])
+    best = buf[0]
+    choice = np.zeros(Ca.shape[0], dtype=np.int64)
     for x in range(k):
-        if x == k - 1:
-            rest = before
-        elif before is None:
-            rest = after[:, x + 1]
-        else:
-            rest = np.minimum(before, after[:, x + 1])
         col = Ca[:, x]
-        v[x] = _quantile(col - rest, s, int(demands[x]), int(v[x]))
-        own = col - v[x]
-        before = own if before is None else np.minimum(before, own)
-    return v - v.max()
+        if x == k - 1:
+            t = col - best
+        else:
+            t = buf[x + 1]
+            if x:
+                np.minimum(t, best, out=t)
+            np.subtract(col, t, out=t)
+        v[x] = _quantile(t, s, int(demands[x]), int(v[x]))
+        if x == 0:
+            np.subtract(col, v[0], out=best)
+        else:
+            own = np.subtract(col, v[x], out=t)
+            np.copyto(choice, x, where=own < best)
+            np.minimum(best, own, out=best)
+    return v - v.max(), choice
 
 
 def _dual_sweeps(
@@ -300,20 +343,22 @@ def _dual_sweeps(
     """
     k = v.shape[0]
     active = np.flatnonzero(supplies > 0)
-    Ca = C[active]
-    s = supplies[active]
+    if active.shape[0] == C.shape[0]:
+        Ca, s = C, supplies
+    else:  # C[active] would gather into row-major order
+        Ca, s = np.take(C.T, active, axis=1).T, supplies[active]
     total = int(s.sum())
-    choice, received, excess = _greedy(Ca, s, demands, v)
+    choice = _greedy(Ca, v)
+    received, excess = _load(choice, s, demands)
     before = excess
     sweeps = 0
     while excess * _SWEEP_STOP * k > total:
-        trial = _sweep(Ca, s, demands, v)
+        trial, trial_choice = _sweep(Ca, s, demands, v)
         sweeps += 1
-        start = _greedy(Ca, s, demands, trial)
-        if start[2] >= excess:
+        trial_received, trial_excess = _load(trial_choice, s, demands)
+        if trial_excess >= excess:
             break
-        v = trial
-        choice, received, excess = start
+        v, choice, received, excess = trial, trial_choice, trial_received, trial_excess
     base = np.full(C.shape[0], -1, dtype=np.int64)
     base[active] = choice
     stats = SolveStats(sweeps=sweeps, excess_before=before, excess_after=excess)
@@ -389,14 +434,13 @@ class _Solver:
             v0 = np.asarray(warm_potentials, dtype=np.int64).reshape(-1)
             if v0.shape[0] != k:
                 raise FlowError("warm potentials must have one entry per demand node")
-            if v0.size and int(np.abs(v0).max()) > 2**61:
+            if _magnitude(v0) > 2**61:
                 raise OverflowRiskError("warm potentials too large for exact arithmetic")
         # Pack heap entries as increment * _pack + supply index so plain int
         # heaps order by (increment, index). Keys must fit int64 during the
         # vectorized build.
         self._pack = 1 << max(20, n.bit_length() + 1)
-        max_cost = int(np.abs(self.C).max()) if self.C.size else 0
-        if 2 * max_cost > (2**62) // self._pack:
+        if 2 * inst.max_cost > (2**62) // self._pack:
             raise OverflowRiskError(
                 "cost magnitudes too large for the relocation index; "
                 "lower the cost scaling"
@@ -449,11 +493,14 @@ class _Solver:
                 self.wit.append([None] * k)
                 self.tight.append(0)
                 continue
-            # |C| <= 2**41 by the pack-key guard, so increments fit int64
-            inc = self.C[ids] - self.C[ids, a][:, np.newaxis]
+            # inc[b]: the members' increments C[y, b] - C[y, a], gathered one
+            # column at a time; |C| <= 2**41 by the pack-key guard, so they
+            # fit int64
+            inc = np.take(self.C.T, ids, axis=1)
+            inc -= inc[a]
             # argmin takes the lowest supply index on ties, as the keys do
-            best = inc.argmin(axis=0)
-            rel = inc[best, cols].tolist()
+            best = inc.argmin(axis=1)
+            rel = inc[cols, best].tolist()
             wit = ids[best].tolist()
             rel[a] = wit[a] = None
             self.rel.append(rel)

@@ -196,6 +196,17 @@ class TestCostModel:
         full = model.int_costs(points, centers)
         assert np.array_equal(model.paired_costs(points, centers[own]), full[np.arange(400), own])
 
+    def test_int_costs_are_column_major_with_the_row_major_bits(self, rng):
+        model = CostModel(diameter=41.3, scale=1e9)
+        points = rng.uniform(-50.0, 50.0, (1000, 2))
+        centers = rng.uniform(-60.0, 60.0, (7, 2))
+        full = model.int_costs(points, centers)
+        assert full.shape == (1000, 7) and full.dtype == np.int64
+        assert full.flags.f_contiguous
+        row_major = model.paired_costs(points[:, None], centers[None])
+        assert row_major.flags.c_contiguous
+        assert full.tobytes(order="C") == row_major.tobytes()
+
     def test_coincident_blocks_measure_absolute_distances(self):
         inst = make_instance([(2, 3), (2, 3)], [1, 1], k=1)
         assert cost_model_for(inst, ScaledCostPolicy()).diameter == 1.0

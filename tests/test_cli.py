@@ -468,3 +468,76 @@ class TestArtifactFingerprint:
                      "--out", str(out)]) == EXIT_OK
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in self.PINNED}
         assert got == self.PINNED
+
+
+def block_rows(rows):
+    return "block_id,x,y,population\n" + "".join(
+        f"b{i},{x!r},{y!r},{p}\n" for i, (x, y, p) in enumerate(rows)
+    )
+
+
+ADVERSARIAL_OK = {
+    # 12 blocks on 3 points, so ties on every side
+    "tied-blocks": ([(float(i % 3), float(i % 3 == 1), 5) for i in range(12)], 3),
+    "block-larger-than-a-district": (
+        [(0.0, 0.0, 100), (1.0, 0.0, 1), (0.0, 1.0, 1), (1.0, 1.0, 1)], 3
+    ),
+    "k-equals-populated-blocks": (
+        [(0.0, 0.0, 3), (1.0, 0.0, 0), (2.0, 5.0, 4), (7.0, 1.0, 2)], 3
+    ),
+    "single-block": ([(3.0, 4.0, 9)], 1),
+    "far-apart-blocks": (
+        [(0.0, 0.0, 4), (1e12, 0.0, 4), (0.0, 1e12, 4), (1e12, 1e12, 4)], 2
+    ),
+}
+
+ADVERSARIAL_REJECTED = {
+    "all-zero-populations": (
+        [(0.0, 0.0, 0), (1.0, 0.0, 0), (0.0, 1.0, 0)], ["--k", "2"],
+        "total population 0 is smaller than k=2",
+    ),
+    "k-above-populated-blocks": (
+        [(0.0, 0.0, 3), (1.0, 0.0, 0), (2.0, 5.0, 4)], ["--k", "3"],
+        "k=3 exceeds the 2 blocks with positive population",
+    ),
+    "coincident-blocks": (
+        [(2.0, 2.0, 3), (2.0, 2.0, 4), (2.0, 2.0, 5)], ["--k", "2"],
+        "k=2 exceeds the distinct positive-population locations",
+    ),
+    "objective-guard": (
+        [(0.0, 0.0, 2**40), (1.0, 0.0, 2**40), (0.0, 1.0, 2**40)], ["--k", "2"],
+        "risk 64-bit overflow",
+    ),
+    "huge-scale": (
+        [(0.0, 0.0, 3), (1.0, 0.0, 4), (0.0, 1.0, 5)], ["--k", "2", "--scale", "1e300"],
+        "scaled costs exceed the exact integer range",
+    ),
+}
+
+
+class TestAdversarialInputs:
+    """Each accepted input ends in a certified answer that validates, or in
+    exit 1 with an error that names the problem; never in a traceback."""
+
+    @pytest.mark.parametrize("rows, k", ADVERSARIAL_OK.values(), ids=ADVERSARIAL_OK.keys())
+    def test_solve_then_validate(self, tmp_path, capsys, rows, k):
+        blocks = tmp_path / "b.csv"
+        blocks.write_text(block_rows(rows), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(blocks), "--k", str(k), "--seed", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert main(["validate", "--dir", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "rows, flags, message", ADVERSARIAL_REJECTED.values(), ids=ADVERSARIAL_REJECTED.keys()
+    )
+    def test_rejected_with_a_named_error(self, tmp_path, capsys, rows, flags, message):
+        blocks = tmp_path / "b.csv"
+        blocks.write_text(block_rows(rows), encoding="utf-8")
+        code = main(["solve", "--input", str(blocks), "--seed", "0", *flags,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err

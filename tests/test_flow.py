@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,108 @@ class TestDualCertificate:
             flow.certify(inst, bad)
 
 
+def solved_fortran_instance(seed, n=200, k=7):
+    """A seeded F-ordered instance with some zero supplies, and its solution."""
+    rng = np.random.default_rng(seed)
+    costs = np.asfortranarray(rng.integers(0, 10**6, size=(n, k)))
+    supplies = rng.integers(0, 20, size=n)
+    supplies[0] += 1
+    total = int(supplies.sum())
+    demands = np.full(k, total // k)
+    demands[: total % k] += 1
+    inst = flow.TransshipmentInstance(costs=costs, supplies=supplies, demands=demands)
+    assert inst.costs.flags.f_contiguous
+    sol = flow.solve_mcf(inst)
+    flow.certify(inst, sol)
+    return rng, inst, sol
+
+
+class TestCertifyColumns:
+    """certify checks dual feasibility one column at a time; each single
+    change below must still be caught."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_supply_potential_raised(self, seed):
+        rng, inst, sol = solved_fortran_instance(seed)
+        for y in (0, int(rng.integers(1, inst.n_supply)), inst.n_supply - 1):
+            u = sol.supply_potentials.copy()
+            u[y] += 1
+            with pytest.raises(flow.FlowError, match="dual infeasible"):
+                flow.certify(inst, dataclasses.replace(sol, supply_potentials=u))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "shift, message", [(1, "dual infeasible"), (-1, "complementary slackness")]
+    )
+    def test_one_demand_potential_changed(self, seed, shift, message):
+        rng, inst, sol = solved_fortran_instance(seed)
+        for x in (0, int(rng.integers(1, inst.n_demand)), inst.n_demand - 1):
+            v = sol.demand_potentials.copy()
+            v[x] += shift
+            with pytest.raises(flow.FlowError, match=message):
+                flow.certify(inst, dataclasses.replace(sol, demand_potentials=v))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flow_moved_onto_a_loose_arc(self, seed):
+        # one unit of y1 moves from x1 to x2 and one of y2 back from x2 to
+        # x1: conservation holds, the objective is recomputed, and (y1, x2)
+        # has positive reduced cost, so only slackness can fail
+        _, inst, sol = solved_fortran_instance(seed)
+        C = inst.costs
+        u, v = sol.supply_potentials, sol.demand_potentials
+        F = np.zeros(C.shape, dtype=np.int64)
+        F[sol.supply_idx, sol.demand_idx] = sol.amounts
+        y1, x1, x2, y2 = next(
+            (y1, x1, x2, y2)
+            for y1, x1 in zip(sol.supply_idx.tolist(), sol.demand_idx.tolist())
+            for x2 in range(inst.n_demand)
+            if C[y1, x2] - v[x2] > u[y1]
+            for y2 in np.flatnonzero(F[:, x2]).tolist()
+            if y2 != y1
+        )
+        F[y1, x1] -= 1
+        F[y1, x2] += 1
+        F[y2, x2] -= 1
+        F[y2, x1] += 1
+        ys, xs = np.nonzero(F)
+        bad = dataclasses.replace(
+            sol,
+            supply_idx=ys,
+            demand_idx=xs,
+            amounts=F[ys, xs],
+            objective=int((F * C).sum()),
+        )
+        with pytest.raises(flow.FlowError, match="complementary slackness"):
+            flow.certify(inst, bad)
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_and_column_major_costs_solve_alike(self, seed):
+        rng = np.random.default_rng(seed)
+        for k in (2, 7, 53):
+            n = int(rng.integers(50, 400))
+            costs = rng.integers(0, 10**7, size=(n, k))
+            supplies = rng.integers(0, 40, size=n)
+            supplies[0] += 1
+            total = int(supplies.sum())
+            demands = np.full(k, total // k)
+            demands[: total % k] += 1
+            warm = None if seed % 2 else rng.integers(-(10**6), 10**6, size=k)
+            sols = []
+            for layout in (np.ascontiguousarray(costs), np.asfortranarray(costs)):
+                inst = flow.TransshipmentInstance(layout, supplies, demands)
+                sols.append(flow.solve_mcf(inst, warm_potentials=warm))
+                flow.certify(inst, sols[-1])
+            row, col = sols
+            for field in (
+                "supply_idx", "demand_idx", "amounts", "supply_potentials", "demand_potentials"
+            ):
+                assert np.array_equal(getattr(row, field), getattr(col, field)), field
+            assert row.objective == col.objective
+            assert row.stats == col.stats
+
+
 class TestWarmStart:
     def test_any_warm_potentials_give_same_objective(self):
         rng = np.random.default_rng(11)
@@ -201,9 +305,11 @@ class TestDualSweeps:
             v = rng.integers(-(10**6), 10**6, size=inst.n_demand)
             dual = int(d @ v) + int(s @ (C - v).min(axis=1))
             for _ in range(4):
-                v = flow._sweep(C, s, d, v)
+                v, choice = flow._sweep(C, s, d, v)
                 swept = int(d @ v) + int(s @ (C - v).min(axis=1))
                 assert swept >= dual
+                # the sweep's own greedy start: lowest index on ties
+                assert np.array_equal(choice, np.argmin(C - v, axis=1))
                 dual = swept
 
 
@@ -285,3 +391,19 @@ class TestOverflowEdges:
         )
         with pytest.raises(flow.OverflowRiskError, match="relocation index"):
             flow.solve_mcf(inst)
+
+    @pytest.mark.parametrize(
+        "costs",
+        [[[-(2**63)]], [[-(2**63), 0], [0, 5]]],
+        ids=["single-arc", "two-by-two"],
+    )
+    def test_int64_minimum_cost_rejected(self, costs):
+        # np.abs(-2**63) wraps to -2**63; the magnitude is taken exactly
+        n = len(costs)
+        with pytest.raises(flow.OverflowRiskError, match="64-bit overflow"):
+            flow.TransshipmentInstance(costs=costs, supplies=[1] * n, demands=[1] * n)
+
+    def test_int64_minimum_warm_potential_rejected(self):
+        inst = flow.TransshipmentInstance(costs=[[7]], supplies=[1], demands=[1])
+        with pytest.raises(flow.OverflowRiskError, match="warm potentials"):
+            flow.solve_mcf(inst, warm_potentials=np.array([-(2**63)], dtype=np.int64))
