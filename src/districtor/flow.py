@@ -343,10 +343,8 @@ def _dual_sweeps(
     """
     k = v.shape[0]
     active = np.flatnonzero(supplies > 0)
-    if active.shape[0] == C.shape[0]:
-        Ca, s = C, supplies
-    else:  # C[active] would gather into row-major order
-        Ca, s = np.take(C.T, active, axis=1).T, supplies[active]
+    # C[active] would gather into row-major order
+    Ca, s = np.take(C.T, active, axis=1).T, supplies[active]
     total = int(s.sum())
     choice = _greedy(Ca, v)
     received, excess = _load(choice, s, demands)
