@@ -15,37 +15,31 @@ from .assignment import (
 )
 from .model import (
     BalancedAssignment,
-    Block,
     CenterSet,
     Instance,
     IterationRecord,
     ModelError,
-    Point2,
     PowerWeights,
     RunTrace,
     assignment_cost,
     balanced_capacities,
-    squared_distance,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BalancedAssignment",
-    "Block",
     "CenterSet",
     "ConsistencyReport",
     "Instance",
     "IterationRecord",
     "ModelError",
-    "Point2",
     "PowerWeights",
     "RunTrace",
     "ScaledCostPolicy",
     "assignment_cost",
     "balanced_capacities",
     "min_cost_balanced_assignment",
-    "squared_distance",
     "verify_power_consistency",
     "__version__",
 ]

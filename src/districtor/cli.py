@@ -110,10 +110,7 @@ def cmd_solve(args) -> int:
     result = best[1]
     wall = time.perf_counter() - started
 
-    model = cost_model_for(inst, policy)
-    threshold = args.threshold if args.threshold is not None else (
-        lloyd.RELATIVE_THRESHOLD * model.diameter
-    )
+    threshold = lloyd.convergence_threshold(inst, cfg, policy)
     frame = geometry.default_frame(inst.locations())
     cells = geometry.compute_cells(result.centers, result.weights, frame)
     outputs = SolveOutputs(
@@ -262,7 +259,7 @@ def cmd_validate(args) -> int:
     rings_ok = len(cells_payload) == len(cells)
     if rings_ok:
         for entry, cell in zip(cells_payload, cells):
-            ring = np.array(entry.get("ring", []), dtype=np.float64).reshape(-1, 2)
+            ring = np.array(entry["ring"], dtype=np.float64).reshape(-1, 2)
             expect = np.array(cell.ring(), dtype=np.float64).reshape(-1, 2)
             if ring.shape != expect.shape or (
                 ring.size and float(np.abs(ring - expect).max()) > ring_tol

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -34,7 +35,6 @@ from .model import (
     BalancedAssignment,
     CenterSet,
     Instance,
-    Point2,
     RunTrace,
     assignment_cost,
 )
@@ -51,11 +51,11 @@ class DataError(ValueError):
     """Malformed input data, reported with file and line context."""
 
 
-def project(lon, lat, reference_parallel: float) -> Point2:
-    """Equirectangular projection of lon/lat degrees to km.
+def project(lon, lat, reference_parallel: float) -> tuple:
+    """Equirectangular projection of lon/lat degrees to km, as (x, y).
 
     x = R * lon_rad * cos(reference_parallel), y = R * lat_rad. ``lon`` and
-    ``lat`` are scalars or equal-shape arrays; the result holds scalars or
+    ``lat`` are scalars or equal-shape arrays; x and y are scalars or
     arrays to match. Distances are faithful near the reference parallel and
     degrade with latitude span.
     """
@@ -64,7 +64,7 @@ def project(lon, lat, reference_parallel: float) -> Point2:
     if bad.any():
         raise DataError(f"latitude {lat[bad][0]} out of range (|lat| < {MAX_ABS_LATITUDE})")
     scale_x = math.cos(math.radians(reference_parallel))
-    return Point2(
+    return (
         EARTH_RADIUS_KM * np.radians(lon) * scale_x,
         EARTH_RADIUS_KM * np.radians(lat),
     )
@@ -351,7 +351,7 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
 
 def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
     """``parse`` applied to each nonempty data row; a wrong header or a row
-    that ``parse`` rejects fails with its line number."""
+    that ``parse`` rejects fails with its line number, plus a DataError's reason."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -363,6 +363,8 @@ def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
                 continue
             try:
                 rows.append(parse(row))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: malformed row") from None
     return rows
@@ -392,14 +394,20 @@ def read_assignment_csv(path: str | Path) -> list[tuple[str, int, int]]:
     return list(zip(ids, centers.tolist(), persons.tolist()))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise DataError(f"non-finite value {text!r}")
+    return value
+
+
 def read_centers_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (positions, weights, capacities, populations)."""
+    """Returns (positions, weights, capacities, populations). Every x, y and
+    weight must be finite."""
     rows = _read_csv_rows(
         path,
         ["index", "x", "y", "weight", "capacity", "population"],
-        lambda row: (
-            int(row[0]), float(row[1]), float(row[2]), float(row[3]), int(row[4]), int(row[5])
-        ),
+        lambda row: (int(row[0]), *map(_finite, row[1:4]), int(row[4]), int(row[5])),
     )
     if [r[0] for r in rows] != list(range(len(rows))):
         raise DataError(f"{path}: center indices do not run 0, 1, ... in order")
@@ -428,6 +436,8 @@ def read_summary_json(path: str | Path) -> dict:
 
 
 def read_cells_json(path: str | Path) -> list[dict]:
+    """The entries of a cells.json: objects, each with a ``ring`` that is a
+    list of finite numeric [x, y] pairs."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -435,4 +445,19 @@ def read_cells_json(path: str | Path) -> list[dict]:
             raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, list):
         raise DataError(f"{path}: expected a JSON array")
+    for i, entry in enumerate(payload):
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: entry {i} is not an object")
+        ring = entry.get("ring")
+        if not (isinstance(ring, list) and all(map(_is_point, ring))):
+            raise DataError(f"{path}: entry {i}: ring is not a list of numeric [x, y] pairs")
     return payload
+
+
+def _is_point(pair) -> bool:
+    """True for a list of two JSON numbers within the finite float range."""
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in pair)
+    )

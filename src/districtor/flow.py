@@ -418,6 +418,11 @@ class _Solver:
     Bit b of tight[a] is set iff rel[a][b] + v[a] == v[b]. _enroll and
     _depart keep it where rel changes, and _reprice where v changes; the
     searches read the bitsets, never the table, to find tight arcs.
+
+    The flow is one record per supply node y: base[y], the demand node
+    that holds all of supply[y], or -1 when y has no supply or is split;
+    and for a split node, split[y], its positive flows by demand node, two
+    or more. _move is the only writer of the record.
     """
 
     def __init__(self, inst: TransshipmentInstance, warm_potentials: np.ndarray | None):
@@ -450,14 +455,12 @@ class _Solver:
         self.v = v0.tolist()
         self.demands: list[int] = inst.demands.tolist()
 
-        # base[y]: the single center holding block y's whole flow, or -1 when
-        # y is inactive or split across centers (then see self.split). The
-        # greedy start is kept as an array too; solution() reads the list
+        # The greedy start is kept as an array too; solution() reads base
         # only at the touched blocks, those the repair moved flow of.
         self.start_base = base_np
         self.base: list[int] = base_np.tolist()
-        self.base_amt: list[int] = np.where(base_np >= 0, inst.supplies, 0).tolist()
         self.split: dict[int, dict[int, int]] = {}
+        self.supply: list[int] = inst.supplies.tolist()
         self.touched: set[int] = set()
         self.received: list[int] = received_np.tolist()
         self.augmentations = 0
@@ -516,57 +519,9 @@ class _Solver:
 
     def flow_at(self, y: int, x: int) -> int:
         if self.base[y] == x:
-            return self.base_amt[y]
+            return self.supply[y]
         flows = self.split.get(y)
         return flows.get(x, 0) if flows else 0
-
-    def _remove_flow(self, y: int, x: int, q: int) -> bool:
-        """Take q units of y from x; True when y is no longer a member of x."""
-        if self.base[y] == x:
-            rem = self.base_amt[y] - q
-            if rem < 0:
-                raise FlowError("internal: negative flow")
-            if rem == 0:
-                self.base[y] = -1
-            self.base_amt[y] = rem
-            return rem == 0
-        flows = self.split[y]
-        rem = flows[x] - q
-        if rem < 0:
-            raise FlowError("internal: negative flow")
-        if rem > 0:
-            flows[x] = rem
-            return False
-        del flows[x]
-        if len(flows) == 1:
-            ((only_x, amt),) = flows.items()
-            del self.split[y]
-            self.base[y] = only_x
-            self.base_amt[y] = amt
-        return True
-
-    def _add_flow(self, y: int, x: int, q: int) -> bool:
-        """Add q units of y at x; True when y is a new member of x."""
-        if self.base[y] == x:
-            self.base_amt[y] += q
-            return False
-        flows = self.split.get(y)
-        if flows is None:
-            if self.base[y] == -1:
-                self.base[y] = x
-                self.base_amt[y] = q
-                return True
-            # y spans several centers now: demote its base flow into the map
-            bx = self.base[y]
-            flows = {bx: self.base_amt[y]}
-            self.split[y] = flows
-            self.base[y] = -1
-            self.base_amt[y] = 0
-        if x in flows:
-            flows[x] += q
-            return False
-        flows[x] = q
-        return True
 
     def _enroll(self, y: int, x: int) -> None:
         """Record new member y of x: lower the row x minima it beats, mark
@@ -617,10 +572,23 @@ class _Solver:
         self.tight[x] = tight
 
     def _move(self, y: int, a: int, b: int, q: int) -> None:
+        """Move q units of y's flow from a to b. y leaves a when no flow is
+        left there, and joins b when it had none there."""
         self.touched.add(y)
-        if self._remove_flow(y, a, q):
+        flows = self.split.pop(y, None) or {self.base[y]: self.supply[y]}
+        rem = flows.pop(a, 0) - q
+        if rem < 0:
+            raise FlowError("internal: negative flow")
+        if rem:
+            flows[a] = rem
+        joins = b not in flows
+        flows[b] = flows.get(b, 0) + q
+        self.base[y] = b if len(flows) == 1 else -1
+        if len(flows) > 1:
+            self.split[y] = flows
+        if not rem:
             self._depart(y, a)
-        if self._add_flow(y, b, q):
+        if joins:
             self._enroll(y, b)
         self.received[a] -= q
         self.received[b] += q

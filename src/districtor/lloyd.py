@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import ScaledCostPolicy, ScaledSolveResult, solve_balanced
+from .assignment import ScaledCostPolicy, ScaledSolveResult, cost_model_for, solve_balanced
 from .model import (
     BalancedAssignment,
     CenterSet,
@@ -54,6 +54,14 @@ class RunResult(NamedTuple):
     assignment: BalancedAssignment
     weights: PowerWeights
     trace: RunTrace
+
+
+def convergence_threshold(inst: Instance, cfg: LloydConfig, policy: ScaledCostPolicy) -> float:
+    """The center displacement at which a run has converged: cfg.threshold,
+    or by default RELATIVE_THRESHOLD of the cost model's diameter."""
+    if cfg.threshold is not None:
+        return cfg.threshold
+    return RELATIVE_THRESHOLD * cost_model_for(inst, policy).diameter
 
 
 def seed_centers(inst: Instance, k: int, seed: int | np.random.Generator) -> CenterSet:
@@ -141,6 +149,7 @@ def run(
     centers. On non-convergence, the last (lowest-cost) state is returned
     with ``converged=False`` in the trace.
     """
+    threshold = convergence_threshold(inst, cfg, policy)
     centers = seed_centers(inst, inst.k, cfg.seed)
     records: list[IterationRecord] = []
     warm: np.ndarray | None = None
@@ -149,10 +158,6 @@ def run(
 
     for it in range(cfg.max_iterations):
         res = solve_balanced(inst, centers, policy, warm_potentials=warm)
-        if cfg.threshold is not None:
-            threshold = cfg.threshold
-        else:
-            threshold = RELATIVE_THRESHOLD * res.cost_model.diameter
         candidate = centroid_step(inst, res.assignment)
         new_positions = _guarded_positions(inst, res, centers, candidate)
         disp = float(np.sqrt(((new_positions - centers.positions) ** 2).sum(axis=1)).max())

@@ -1,12 +1,11 @@
 """Core domain types: blocks, instances, center sets, assignments, traces.
 
-An :class:`Instance` is columnar: block ids, an (n, 2) location array and
-an (n,) population array, validated together when it is built.
-:class:`Block` is the per-record view of one row, used by
-``Instance.from_blocks`` and ``Instance.blocks``. All types are immutable
-value data and safe to share across threads. Coordinates are
-dimensionless planar units (projection happens in :mod:`districtor.dataio`
-before an Instance is built).
+An :class:`Instance` is columnar and is the only representation of the
+blocks: a tuple of ids, an (n, 2) location array and an (n,) population
+array, row i of each describing block i, validated together when it is
+built. All types are immutable value data and safe to share across
+threads. Coordinates are dimensionless planar units (projection happens in
+:mod:`districtor.dataio` before an Instance is built).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,45 +22,6 @@ from .flow import SolveStats
 
 class ModelError(ValueError):
     """Invalid domain data."""
-
-
-class Point2(NamedTuple):
-    """A planar point."""
-
-    x: float
-    y: float
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y)
-
-
-def squared_distance(a, b) -> float:
-    """Squared Euclidean distance between two planar points.
-
-    Accepts any pair of indexables with [0] and [1] coordinates.
-    """
-    dx = float(a[0]) - float(b[0])
-    dy = float(a[1]) - float(b[1])
-    return dx * dx + dy * dy
-
-
-@dataclass(frozen=True)
-class Block:
-    """A weighted population point: one census-block-style record."""
-
-    id: str
-    location: Point2
-    population: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.population, int) or isinstance(self.population, bool):
-            raise ModelError(f"block {self.id!r}: population must be an integer")
-        if self.population < 0:
-            raise ModelError(f"block {self.id!r}: population {self.population} is negative")
-        loc = Point2(*self.location)
-        if not loc.is_finite():
-            raise ModelError(f"block {self.id!r}: non-finite coordinates {tuple(self.location)}")
-        object.__setattr__(self, "location", loc)
 
 
 class Instance:
@@ -114,23 +73,6 @@ class Instance:
         self.name = name
         self.m = m  # total population
 
-    @classmethod
-    def from_blocks(cls, blocks, k: int, name: str = "") -> Instance:
-        """Build an instance from validated :class:`Block` records."""
-        blocks = tuple(blocks)
-        locations = np.reshape([b.location for b in blocks], (-1, 2))
-        return cls([b.id for b in blocks], locations, [b.population for b in blocks], k, name)
-
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        """The blocks as :class:`Block` records, built on each access."""
-        return tuple(
-            Block(id=i, location=Point2(x, y), population=p)
-            for i, (x, y), p in zip(
-                self.ids, self._locations.tolist(), self._populations.tolist()
-            )
-        )
-
     @property
     def n_blocks(self) -> int:
         return len(self.ids)
@@ -150,9 +92,6 @@ class Instance:
     def populations(self) -> np.ndarray:
         """Block populations as a read-only (n,) int64 array, in file order."""
         return self._populations
-
-    def block_ids(self) -> list[str]:
-        return list(self.ids)
 
 
 @dataclass(frozen=True)

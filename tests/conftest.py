@@ -5,17 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from districtor.model import Block, CenterSet, Instance, Point2, balanced_capacities
+from districtor.model import CenterSet, Instance, balanced_capacities
 
 
 def make_instance(locs, pops, k: int, name: str = "test") -> Instance:
     locs = np.asarray(locs, dtype=np.float64).reshape(-1, 2)
     pops = [int(p) for p in np.asarray(pops).reshape(-1)]
-    blocks = tuple(
-        Block(id=f"b{i:06d}", location=Point2(float(x), float(y)), population=p)
-        for i, ((x, y), p) in enumerate(zip(locs, pops))
-    )
-    return Instance.from_blocks(blocks, k=k, name=name)
+    ids = [f"b{i:06d}" for i in range(len(pops))]
+    return Instance(ids, locs, pops, k, name)
 
 
 def distribute_population(rng: np.random.Generator, n: int, m: int) -> np.ndarray:

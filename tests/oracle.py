@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from districtor.model import BalancedAssignment, CenterSet, Instance, Point2
+from districtor.model import BalancedAssignment, CenterSet, Instance
 
 MAX_ORACLE_PERSONS = 10
 MAX_ORACLE_CENTERS = 3
@@ -203,7 +203,7 @@ def brute_force_balanced(inst: Instance, centers: CenterSet) -> tuple[BalancedAs
     return asg, float(best_cost)
 
 
-def naive_centroid(points, weights) -> Point2:
+def naive_centroid(points, weights) -> tuple[float, float]:
     """Weighted mean of points; cross-checks the centroid step."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
@@ -211,7 +211,7 @@ def naive_centroid(points, weights) -> Point2:
     if total <= 0:
         raise ValueError("total weight must be positive")
     mean = (pts * w[:, None]).sum(axis=0) / total
-    return Point2(float(mean[0]), float(mean[1]))
+    return float(mean[0]), float(mean[1])
 
 
 def swap_heuristic(locations, centers, matching: list[int]) -> list[int]:

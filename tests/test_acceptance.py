@@ -226,8 +226,10 @@ def test_criterion_8_determinism(tmp_path):
     inst = gaussian_instance(seed=100, n=500, m=20_000, k=4, clusters=3, name="det")
     blocks = tmp_path / "blocks.csv"
     lines = ["block_id,x,y,population"]
-    for b in inst.blocks:
-        lines.append(f"{b.id},{b.location.x!r},{b.location.y!r},{b.population}")
+    for bid, (x, y), pop in zip(
+        inst.ids, inst.locations().tolist(), inst.populations().tolist()
+    ):
+        lines.append(f"{bid},{x!r},{y!r},{pop}")
     blocks.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     args = ["--input", str(blocks), "--k", "4", "--seed", "11", "--restarts", "2"]

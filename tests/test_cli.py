@@ -239,6 +239,40 @@ class TestValidate:
         assert main([command, "--dir", str(solved_dir)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cells: [7, *cells[1:]], "entry 0 is not an object"),
+            (
+                lambda cells: [cells[0], {**cells[1], "ring": [[0.5, "x"]]}, *cells[2:]],
+                "entry 1: ring is not a list of numeric [x, y] pairs",
+            ),
+        ],
+        ids=["entry-not-an-object", "ring-holds-a-string"],
+    )
+    def test_malformed_cells_json_is_input_error(self, solved_dir, capsys, edit, message):
+        cells = solved_dir / "cells.json"
+        cells.write_text(json.dumps(edit(json.loads(cells.read_text()))), encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {cells}: {message}\n"
+
+    @pytest.mark.parametrize("column, value", [(1, "inf"), (2, "-inf"), (3, "nan")])
+    def test_non_finite_center_field_is_input_error(self, solved_dir, capsys, column, value):
+        """Non-finite weights used to pass every check when the rings were
+        emptied too: NaN comparisons find no violation, and the average
+        side count of no cell is not compared with anything."""
+        centers = solved_dir / "centers.csv"
+        lines = centers.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            row[column] = value
+        centers.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n", encoding="utf-8")
+        cells = solved_dir / "cells.json"
+        payload = json.loads(cells.read_text())
+        cells.write_text(json.dumps([{**entry, "ring": []} for entry in payload]))
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {centers}:2: non-finite value {value!r}\n"
+
     def test_persons_beyond_64_bits_is_input_error(self, solved_dir, capsys):
         asg = solved_dir / "assignment.csv"
         lines = asg.read_text().splitlines()

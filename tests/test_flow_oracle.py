@@ -159,11 +159,19 @@ class _CheckedSolver(flow._Solver):
                 assert (self.tight[a] >> b & 1) == tight
 
     def check_table(self):
-        """rel[a][b] is the least C[y, b] - C[y, a] over the members y of a,
-        by brute force, and wit[a][b] is a member that achieves it."""
+        """The per-block record holds each block's supply: base[y] >= 0
+        exactly for the blocks held whole by one center, and every split
+        entry holds two or more positive amounts. rel[a][b] is the least
+        C[y, b] - C[y, a] over the members y of a, by brute force, and
+        wit[a][b] is a member that achieves it."""
         self.checks += 1
         n, k, C = self.n, self.k, self.C
         flows = np.array([[self.flow_at(y, x) for x in range(k)] for y in range(n)])
+        assert flows.sum(axis=1).tolist() == self.inst.supplies.tolist()
+        assert [x >= 0 for x in self.base] == (np.count_nonzero(flows, axis=1) == 1).tolist()
+        for y, amounts in self.split.items():
+            assert self.base[y] == -1
+            assert len(amounts) >= 2 and min(amounts.values()) > 0
         for a in range(k):
             members = np.flatnonzero(flows[:, a] > 0)
             assert self.rel[a][a] is None and self.wit[a][a] is None

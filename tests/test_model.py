@@ -5,20 +5,25 @@ from hypothesis import strategies as st
 
 from districtor.model import (
     BalancedAssignment,
-    Block,
     CenterSet,
     Instance,
     ModelError,
-    Point2,
     RunTrace,
     IterationRecord,
     assignment_cost,
     balanced_capacities,
-    squared_distance,
 )
 from tests.conftest import make_instance
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def squared_distance(a, b) -> float:
+    """The assignment cost of one person at a served by a center at b."""
+    inst = Instance(["a"], [a], [1], k=1)
+    centers = CenterSet(positions=[b], capacities=[1])
+    asg = BalancedAssignment(block_indices=[0], center_indices=[0], persons=[1])
+    return assignment_cost(inst, centers, asg)
 
 
 class TestSquaredDistance:
@@ -78,30 +83,29 @@ class TestBalancedCapacities:
 
 
 class TestBlockValidation:
+    """Each block is checked when the instance is built."""
+
     def test_negative_population(self):
         with pytest.raises(ModelError):
-            Block(id="a", location=Point2(0, 0), population=-1)
+            Instance(["a", "b"], [(0, 0), (1, 0)], [2, -1], k=1)
 
     def test_non_integer_population(self):
         with pytest.raises(ModelError):
-            Block(id="a", location=Point2(0, 0), population=1.5)  # type: ignore[arg-type]
+            Instance(["a"], [(0, 0)], [1.5], k=1)
 
     def test_non_finite_location(self):
         with pytest.raises(ModelError):
-            Block(id="a", location=Point2(float("nan"), 0), population=1)
+            Instance(["a"], [(float("nan"), 0)], [1], k=1)
 
     def test_zero_population_allowed(self):
-        assert Block(id="a", location=Point2(0, 0), population=0).population == 0
+        inst = Instance(["a", "b"], [(0, 0), (1, 0)], [0, 1], k=1)
+        assert inst.populations().tolist() == [0, 1]
 
 
 class TestInstanceValidation:
     def test_duplicate_ids(self):
-        blocks = (
-            Block(id="a", location=Point2(0, 0), population=1),
-            Block(id="a", location=Point2(1, 0), population=1),
-        )
         with pytest.raises(ModelError):
-            Instance.from_blocks(blocks, k=1)
+            Instance(["a", "a"], [(0, 0), (1, 0)], [1, 1], k=1)
 
     def test_population_below_k(self):
         with pytest.raises(ModelError):
@@ -135,25 +139,17 @@ class TestColumnarInstance:
 
     def test_columns_are_read_only(self):
         inst = Instance(
-            ids=["a", "b"], locations=[(0.0, 0.0), (1.0, 2.0)], populations=[3, 4], k=2
+            ids=["a", "b"], locations=[(0.5, -1.0), (2.0, 4.0)], populations=[3, 4], k=2,
+            name="two",
         )
         assert inst.m == 7 and inst.n_blocks == 2
-        assert inst.block_ids() == ["a", "b"]
+        assert inst.ids == ("a", "b") and inst.name == "two"
+        assert inst.locations().tolist() == [[0.5, -1.0], [2.0, 4.0]]
+        assert inst.populations().tolist() == [3, 4]
         with pytest.raises(ValueError):
             inst.locations()[0, 0] = 5.0
         with pytest.raises(ValueError):
             inst.populations()[0] = 5
-
-    def test_from_blocks_matches_columns(self):
-        blocks = (
-            Block(id="a", location=Point2(0.5, -1.0), population=3),
-            Block(id="b", location=Point2(2.0, 4.0), population=0),
-        )
-        inst = Instance.from_blocks(blocks, k=1, name="two")
-        assert inst.blocks == blocks
-        assert inst.locations().tolist() == [[0.5, -1.0], [2.0, 4.0]]
-        assert inst.populations().tolist() == [3, 0]
-        assert inst.name == "two"
 
     def test_diameter_is_the_bounding_box_diagonal(self):
         inst = make_instance([(1, 1), (4, 2), (2, 5)], [1, 1, 1], k=1)
