@@ -151,6 +151,19 @@ class TestColumnarInstance:
         with pytest.raises(ValueError):
             inst.populations()[0] = 5
 
+    def test_from_blocks_matches_columns(self):
+        blocks = (("a", (0.5, -1.0), 3), ("b", (2.0, 4.0), 0))
+        ids, locations, populations = zip(*blocks)
+        inst = Instance(ids, locations, populations, k=1, name="two")
+        rebuilt = tuple(
+            (i, tuple(xy), p)
+            for i, xy, p in zip(inst.ids, inst.locations().tolist(), inst.populations().tolist())
+        )
+        assert rebuilt == blocks
+        assert inst.locations().tolist() == [[0.5, -1.0], [2.0, 4.0]]
+        assert inst.populations().tolist() == [3, 0]
+        assert inst.m == 3 and inst.name == "two"
+
     def test_diameter_is_the_bounding_box_diagonal(self):
         inst = make_instance([(1, 1), (4, 2), (2, 5)], [1, 1, 1], k=1)
         assert inst.diameter == 5.0
