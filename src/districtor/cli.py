@@ -173,6 +173,24 @@ def _load_diagram(out_dir: Path):
     return summary, inst, centers, weights, populations
 
 
+def _cell_mismatch(entry: dict, cell: geometry.ConvexCell, weight: float, ring_tol: float) -> str:
+    """The first field of a cells.json entry that disagrees with the
+    recomputed cell, or with the centers.csv weight of its center; "" when
+    none does."""
+    ring = np.array(entry["ring"], dtype=np.float64).reshape(-1, 2)
+    expect = np.array(cell.ring(), dtype=np.float64).reshape(-1, 2)
+    if ring.shape != expect.shape or (ring.size and float(np.abs(ring - expect).max()) > ring_tol):
+        return "ring"
+    center = entry.get("center")
+    if type(center) is not int or center != cell.center_index:
+        return "center"
+    if entry.get("clipped") is not cell.clipped:
+        return "clipped"
+    if type(entry.get("weight")) not in (int, float) or entry["weight"] != weight:
+        return "weight"
+    return ""
+
+
 def cmd_validate(args) -> int:
     out_dir = Path(args.dir)
     try:
@@ -256,17 +274,16 @@ def cmd_validate(args) -> int:
     )
 
     ring_tol = 1e-9 * model.diameter
-    rings_ok = len(cells_payload) == len(cells)
-    if rings_ok:
-        for entry, cell in zip(cells_payload, cells):
-            ring = np.array(entry["ring"], dtype=np.float64).reshape(-1, 2)
-            expect = np.array(cell.ring(), dtype=np.float64).reshape(-1, 2)
-            if ring.shape != expect.shape or (
-                ring.size and float(np.abs(ring - expect).max()) > ring_tol
-            ):
-                rings_ok = False
+    mismatch = ""
+    if len(cells_payload) != len(cells):
+        mismatch = f"{len(cells_payload)} entries for {len(cells)} cells"
+    else:
+        for i, (entry, cell) in enumerate(zip(cells_payload, cells)):
+            field = _cell_mismatch(entry, cell, float(weights[cell.center_index]), ring_tol)
+            if field:
+                mismatch = f"entry {i}: {field} differs"
                 break
-    report.check("cells.json matches recomputed diagram", rings_ok)
+    report.check("cells.json matches recomputed diagram", not mismatch, mismatch)
 
     recomputed = assignment_cost(inst, centers, asg) if conserved and balanced else float("nan")
     cost_ok = math.isclose(recomputed, final_cost, rel_tol=1e-6, abs_tol=1e-12)

@@ -350,8 +350,9 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
 
 
 def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
-    """``parse`` applied to each nonempty data row; a wrong header or a row
-    that ``parse`` rejects fails with its line number, plus a DataError's reason."""
+    """``parse`` applied to each nonempty data row; a wrong header, a row
+    with a field count other than the header's, or a row that ``parse``
+    rejects fails with its line number, plus a DataError's reason."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -361,11 +362,15 @@ def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
             try:
                 rows.append(parse(row))
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-            except (ValueError, IndexError):
+            except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed row") from None
     return rows
 

@@ -13,7 +13,11 @@ Specialized to instances with many supply nodes and few demand nodes
    for once, under the starting potentials; after that each sweep tracks
    it as it goes. Every n-sized pass, here and in the read-out and the
    certificate, runs down one demand node's column of the cost matrix,
-   which is contiguous when the matrix is column-major.
+   which is contiguous when the matrix is column-major. No pass is masked
+   and no rows are gathered: the rows of supply nodes with zero supply stay
+   in the matrix with weight 0, a quantile sorts only the window of keys
+   between the current potential and the boundary that one np.partition
+   finds, and the greedy choice is kept by a maximum.
 2. Repair. Successive shortest paths with node potentials move the
    remaining overfill from the greedy start, augmenting along shortest
    paths in a compact demand-node graph whose arc (a, b) carries the
@@ -233,16 +237,29 @@ def certify(inst: TransshipmentInstance, sol: FlowSolution) -> None:
         raise FlowError("certificate: complementary slackness violated")
 
 
-def _greedy(Ca: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _greedy(C: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Each supply row's cheapest demand node under potentials v, lowest
     index on ties, taken one column at a time."""
-    best = Ca[:, 0] - v[0]
-    choice = np.zeros(best.shape[0], dtype=np.int64)
+    n = C.shape[0]
+    best = C[:, 0] - v[0]
+    choice = np.zeros(n, dtype=np.int64)
+    own = np.empty(n, dtype=np.int64)
+    lower = np.empty(n, dtype=bool)
     for x in range(1, v.shape[0]):
-        own = Ca[:, x] - v[x]
-        np.copyto(choice, x, where=own < best)
-        np.minimum(best, own, out=best)
+        _choose(choice, best, np.subtract(C[:, x], v[x], out=own), x, lower)
     return choice
+
+
+def _choose(
+    choice: np.ndarray, best: np.ndarray, own: np.ndarray, x: int, lower: np.ndarray
+) -> None:
+    """Step x of the greedy choice: rows whose reduced cost own at x beats
+    best choose x, and best takes the minimum. Every earlier choice is below
+    x, so the maximum with x where own < best and 0 elsewhere sets it, and a
+    tie keeps the lower index. Overwrites own and lower."""
+    np.less(own, best, out=lower)
+    np.minimum(best, own, out=best)
+    np.maximum(choice, np.multiply(lower, x, out=own), out=choice)
 
 
 def _load(choice: np.ndarray, s: np.ndarray, demands: np.ndarray) -> tuple[np.ndarray, int]:
@@ -253,43 +270,58 @@ def _load(choice: np.ndarray, s: np.ndarray, demands: np.ndarray) -> tuple[np.nd
     return received, int(np.maximum(received - demands, 0).sum())
 
 
-def _first_reaching(keys: np.ndarray, w: np.ndarray, need: int, w_sum: int) -> int:
-    """Smallest key at which the weight of the keys up to it reaches need.
+def _first_reaching(
+    t: np.ndarray, s: np.ndarray, side: np.ndarray, down: bool, need: int, w_sum: int
+) -> int:
+    """The key of the marked side of cur at which the weight of that side's
+    keys, taken from cur outward, first reaches need.
 
-    Requires 0 < need <= w_sum == w.sum(). Only the smallest keys are
-    sorted: enough of them to carry about twice the needed weight, doubled
-    until they do.
+    side marks the keys below cur (down) or above it; requires
+    0 < need <= w_sum == s[side].sum(). Only the j keys nearest cur are
+    sorted, enough to carry about twice the needed weight, doubled until
+    they do: one np.partition of t finds the j-th of them, and the window
+    between it and cur is gathered.
     """
-    total = len(keys)
-    j = min(total, 2 * (need * total // w_sum) + 16)
+    n = t.shape[0]
+    count = int(np.count_nonzero(side))
+    j = min(count, 2 * (need * count // w_sum) + 16)
     while True:
-        part = np.argpartition(keys, j - 1)[:j] if j < total else np.arange(total)
-        part = part[np.argsort(keys[part])]
-        cum = np.cumsum(w[part])
+        # the side holds ranks 0.. count - 1 of t below cur, n - count..
+        # n - 1 above it; edge is its j-th key counted from cur
+        rank = count - j if down else n - count + j - 1
+        edge = np.partition(t, rank)[rank]
+        window = np.flatnonzero(side & (t >= edge if down else t <= edge))
+        keys = t[window]
+        order = np.argsort(keys)
+        if down:
+            order = order[::-1]
+        cum = np.cumsum(s[window[order]])
         if cum[-1] >= need:
-            return int(keys[part[np.searchsorted(cum, need)]])
-        j = min(total, 2 * j)
+            return int(keys[order[np.searchsorted(cum, need)]])
+        j = min(count, 2 * j)
 
 
 def _quantile(t: np.ndarray, s: np.ndarray, d: int, cur: int) -> int:
-    """Smallest t* with s[t <= t*].sum() >= d, searched on the side of cur
-    that must move. Tied entries in any order give the same value."""
+    """Smallest t* with s[t <= t*].sum() >= d, for 0 <= d <= s.sum() > 0,
+    searched on the side of cur that must move. Rows of zero weight may be
+    present: they move no weighted sum, and the minimum taken for d == 0
+    skips them. Tied entries in any order give the same value."""
     if d == 0:
-        return int(t.min())
-    below = t < cur
-    held = int(s @ below)
+        return int(t[s > 0].min())
+    side = t < cur
+    held = int(s @ side)
     if held >= d:  # too much prefers this node strictly: lower the threshold
-        return -_first_reaching(-t[below], s[below], held - d + 1, held)
-    above = t > cur
-    held_above = int(s @ above)
-    short = d - (int(s.sum()) - held_above)
+        return _first_reaching(t, s, side, True, held - d + 1, held)
+    np.greater(t, cur, out=side)
+    held = int(s @ side)
+    short = d - (int(s.sum()) - held)
     if short <= 0:
         return cur
-    return _first_reaching(t[above], s[above], short, held_above)
+    return _first_reaching(t, s, side, False, short, held)
 
 
 def _sweep(
-    Ca: np.ndarray, s: np.ndarray, demands: np.ndarray, v: np.ndarray
+    C: np.ndarray, s: np.ndarray, demands: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Gauss-Seidel pass of exact coordinate ascent on the dual.
 
@@ -298,23 +330,24 @@ def _sweep(
     The result is normalized to max(v) = 0, which keeps every intermediate
     within int64 for potentials spread up to 2**62. Also returns each row's
     cheapest demand node under the result, lowest index on ties: the greedy
-    start. Every pass reads one column of Ca; k >= 2.
+    start. Every pass reads one column of C; k >= 2.
     """
     v = v - v.max()
-    k = v.shape[0]
+    n, k = C.shape
     # buf[x], x >= 1: cheapest reduced cost over nodes x.. at the old
-    # potentials, consumed at step x - 1. buf[0]: cheapest reduced cost over
-    # the nodes done so far, at the new potentials.
-    buf = np.empty((k, Ca.shape[0]), dtype=np.int64)
-    np.subtract(Ca[:, k - 1], v[k - 1], out=buf[k - 1])
+    # potentials, consumed at step x - 1 and free from then on. buf[0]:
+    # cheapest reduced cost over the nodes done so far, at the new potentials.
+    buf = np.empty((k, n), dtype=np.int64)
+    np.subtract(C[:, k - 1], v[k - 1], out=buf[k - 1])
     for x in range(k - 2, 0, -1):
-        np.minimum(buf[x + 1], Ca[:, x] - v[x], out=buf[x])
+        np.minimum(buf[x + 1], np.subtract(C[:, x], v[x], out=buf[x]), out=buf[x])
     best = buf[0]
-    choice = np.zeros(Ca.shape[0], dtype=np.int64)
+    choice = np.zeros(n, dtype=np.int64)
+    lower = np.empty(n, dtype=bool)
     for x in range(k):
-        col = Ca[:, x]
+        col = C[:, x]
         if x == k - 1:
-            t = col - best
+            t = np.subtract(col, best, out=buf[x])
         else:
             t = buf[x + 1]
             if x:
@@ -324,9 +357,7 @@ def _sweep(
         if x == 0:
             np.subtract(col, v[0], out=best)
         else:
-            own = np.subtract(col, v[x], out=t)
-            np.copyto(choice, x, where=own < best)
-            np.minimum(best, own, out=best)
+            _choose(choice, best, np.subtract(col, v[x], out=t), x, lower)
     return v - v.max(), choice
 
 
@@ -337,30 +368,26 @@ def _dual_sweeps(
 
     Sweeps stop once the greedy start overfills its demand nodes by at most
     total / (_SWEEP_STOP * k), or when a sweep does not lower that excess
-    (its potentials are then dropped). Returns the potentials, each supply
-    node's greedy demand node (-1 when it has no supply), the amounts
-    received and the sweep counts.
+    (its potentials are then dropped). Rows without supply ride along with
+    weight 0. Returns the potentials, each supply node's greedy demand node
+    (-1 when it has no supply), the amounts received and the sweep counts.
     """
     k = v.shape[0]
-    active = np.flatnonzero(supplies > 0)
-    # C[active] would gather into row-major order
-    Ca, s = np.take(C.T, active, axis=1).T, supplies[active]
-    total = int(s.sum())
-    choice = _greedy(Ca, v)
-    received, excess = _load(choice, s, demands)
+    total = int(supplies.sum())
+    choice = _greedy(C, v)
+    received, excess = _load(choice, supplies, demands)
     before = excess
     sweeps = 0
     while excess * _SWEEP_STOP * k > total:
-        trial, trial_choice = _sweep(Ca, s, demands, v)
+        trial, trial_choice = _sweep(C, supplies, demands, v)
         sweeps += 1
-        trial_received, trial_excess = _load(trial_choice, s, demands)
+        trial_received, trial_excess = _load(trial_choice, supplies, demands)
         if trial_excess >= excess:
             break
         v, choice, received, excess = trial, trial_choice, trial_received, trial_excess
-    base = np.full(C.shape[0], -1, dtype=np.int64)
-    base[active] = choice
+    choice[np.flatnonzero(supplies == 0)] = -1
     stats = SolveStats(sweeps=sweeps, excess_before=before, excess_after=excess)
-    return v, base, received, stats
+    return v, choice, received, stats
 
 
 class _PairQueue:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -244,6 +245,45 @@ class TestSolveStats:
             assert s.sweeps >= 1
             assert s.excess_after < s.excess_before
             assert s.augmentations <= s.excess_after
+
+
+class TestSolveFingerprint:
+    """SHA-256 of the entries, both potential vectors and the objective of
+    cold solves, measured before the dual sweeps stopped gathering the rows
+    with supply and stopped using masked passes. A change that moves any
+    answer of the solver fails here; one that means to must re-measure the
+    hashes and record the old and new values in CHANGES.md."""
+
+    PINNED = [
+        ((0, 5_000, 150_000, 7), "d438b0c4f21835f42a55fb0219a3704f053ea8ddacd2e872454e350464a22c04"),
+        ((1, 5_000, 150_000, 7), "e28e6155aeaf438a8eb9f75bba4bba86fa0c05bc17b5ea4f9e9e19d91ed648db"),
+        ((2, 5_000, 150_000, 7), "422538a69b78e5b62cf8787b0d904a2e22432ba683ad495598496fc34c104766"),
+        ((3, 5_000, 150_000, 7), "bd05522b76ce1e1a528949a8decfdae1570249347f57f908b629cb816ee0c731"),
+        ((0, 1_000, 30_000, 53), "43581b17390cb49e7a8bfbca846c808b8fd9d36c08c78cfe556f97d3f3b3aab0"),
+    ]
+
+    @staticmethod
+    def fingerprint(sol: flow.FlowSolution) -> str:
+        h = hashlib.sha256()
+        for a in (
+            sol.supply_idx,
+            sol.demand_idx,
+            sol.amounts,
+            sol.supply_potentials,
+            sol.demand_potentials,
+        ):
+            h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+        h.update(str(sol.objective).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize(
+        ("shape", "digest"), PINNED, ids=[f"seed{s}-{n}x{k}" for (s, n, _, k), _ in PINNED]
+    )
+    def test_cold_solve_answers_repeat(self, shape, digest):
+        seed, n, m, k = shape
+        inst = gaussian_instance(seed, n=n, m=m, k=k)
+        sol = solve_balanced(inst, seed_centers(inst, k, 0)).flow_solution
+        assert self.fingerprint(sol) == digest
 
 
 class TestPinnedCounts:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,42 @@ class TestValidate:
         cells.write_text(json.dumps([{**entry, "ring": []} for entry in payload]))
         assert main(["validate", "--dir", str(solved_dir)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {centers}:2: non-finite value {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "fname, fields",
+        [("centers.csv", 6), ("trace.csv", 4), ("assignment.csv", 3)],
+        ids=["centers", "trace", "assignment"],
+    )
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_wrong_field_count_is_input_error(self, solved_dir, capsys, fname, fields, change):
+        """Extra fields used to be dropped without a word: a seventh field
+        on a centers.csv row passed validation."""
+        path = solved_dir / fname
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1] + ",999" if change == "extra" else lines[1].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = fields + 1 if change == "extra" else fields - 1
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}:2: expected {fields} fields, got {got}\n"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("center", 0), ("weight", -1e9), ("clipped", "no"), ("clipped", None)],
+        ids=["center-zero", "weight-minus-1e9", "clipped-no", "clipped-flipped"],
+    )
+    def test_cells_json_field_mismatch_fails(self, solved_dir, capsys, field, value):
+        """validate compared only the rings: every center 0, every weight
+        -1e9 and every clipped "no" passed. None flips each clipped flag."""
+        cells = solved_dir / "cells.json"
+        payload = json.loads(cells.read_text())
+        for entry in payload:
+            entry[field] = not entry[field] if value is None else value
+        cells.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        line = rf"^FAIL cells.json matches recomputed diagram: entry \d+: {field} differs$"
+        assert re.search(line, out, re.M)
+        assert "validation failed" in out
 
     def test_persons_beyond_64_bits_is_input_error(self, solved_dir, capsys):
         asg = solved_dir / "assignment.csv"

@@ -278,21 +278,41 @@ class TestDeterminism:
 
 
 class TestDualSweeps:
-    def test_quantile_matches_full_sort(self):
-        # the partial search on one side of the current threshold finds the
-        # value a full sort finds, with ties, huge rows and zero demand
-        rng = np.random.default_rng(3)
-        for t in range(300):
+    @staticmethod
+    def quantile_cases(rng):
+        """(keys, weights, demand, cur): random cases with ties, huge rows,
+        zero demand and rows of zero weight, then fixed ones."""
+        for _ in range(400):
             n = int(rng.integers(1, 3000))
             keys = rng.integers(-50, 50, size=n) * int(rng.integers(1, 10**9))
-            w = rng.integers(1, int(rng.choice([2, 5, 500])), size=n)
+            w = rng.integers(int(rng.integers(0, 2)), int(rng.choice([2, 5, 500])), size=n)
+            w[rng.integers(0, n)] += 1
             if rng.random() < 0.3:
                 w[rng.integers(0, n)] += 3 * int(w.sum())
             d = int(rng.integers(0, w.sum() + 1))
-            cur = int(rng.choice(keys)) + int(rng.integers(-1, 2))
-            order = np.argsort(keys, kind="stable")
-            cum = np.cumsum(w[order])
-            want = int(keys.min()) if d == 0 else int(keys[order][np.searchsorted(cum, d)])
+            yield keys, w, d, int(rng.choice(keys)) + int(rng.integers(-1, 2))
+        # zero demand, with the smallest key on a row of zero weight
+        for cur in (-10, 0, 10):
+            yield np.array([5, -7, 3, 9, -2]), np.array([1, 0, 2, 0, 1]), 0, cur
+        # All weight on the five keys farthest from cur: the first window of
+        # 2 * (need * count // w_sum) + 16 keys nearest cur, and the doubled
+        # one, carry none of it, so the search widens to the whole side.
+        keys = np.arange(3000) * 7 - 5000
+        below, above = np.zeros(3000, dtype=np.int64), np.zeros(3000, dtype=np.int64)
+        below[:5] = above[-5:] = 1
+        for d in range(6):
+            yield keys, below, d, int(keys[-1]) + 1
+            yield keys, above, d, int(keys[0]) - 1
+
+    def test_quantile_matches_full_sort(self):
+        # the partial search on one side of the current threshold finds the
+        # value a full sort finds
+        for t, (keys, w, d, cur) in enumerate(self.quantile_cases(np.random.default_rng(3))):
+            if d == 0:  # the smallest key of a row with weight
+                want = int(keys[w > 0].min())
+            else:
+                order = np.argsort(keys, kind="stable")
+                want = int(keys[order][np.searchsorted(np.cumsum(w[order]), d)])
             assert flow._quantile(keys, w, d, cur) == want, f"case {t}"
 
     def test_sweeps_never_lower_the_dual(self):
@@ -311,6 +331,33 @@ class TestDualSweeps:
                 # the sweep's own greedy start: lowest index on ties
                 assert np.array_equal(choice, np.argmin(C - v, axis=1))
                 dual = swept
+
+    @pytest.mark.parametrize("k", [2, 7, 53])
+    def test_rows_without_supply_change_nothing(self, k):
+        # Rows of zero supply ride along in the sweeps with weight 0: the
+        # potentials, greedy start, received amounts and counts are those of
+        # the instance without them, and their start is -1.
+        rng = np.random.default_rng(k)
+        n = 40 * k
+        points = rng.uniform(0, 1000, size=(n, 2))
+        centers = rng.uniform(300, 700, size=(k, 2))
+        costs = ((points[:, None, :] - centers[None]) ** 2).sum(axis=2).astype(np.int64)
+        supplies = rng.integers(1, 50, size=n) * (rng.random(n) < 0.6)
+        total = int(supplies.sum())
+        demands = np.full(k, total // k)
+        demands[: total % k] += 1
+        active = np.flatnonzero(supplies > 0)
+        for warm in (np.zeros(k, dtype=np.int64), rng.integers(-(10**5), 10**5, size=k)):
+            v, base, received, stats = flow._dual_sweeps(costs, supplies, demands, warm)
+            v_a, base_a, received_a, stats_a = flow._dual_sweeps(
+                np.asfortranarray(costs[active]), supplies[active], demands, warm
+            )
+            assert stats.sweeps >= 1
+            assert np.array_equal(v, v_a)
+            assert np.array_equal(base[active], base_a)
+            assert np.all(np.delete(base, active) == -1)
+            assert np.array_equal(received, received_a)
+            assert stats == stats_a
 
 
 # Below 2**19 supply nodes, keys pack as increment * 2**20 + index, so
