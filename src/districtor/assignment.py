@@ -183,10 +183,17 @@ def verify_power_consistency(
     if len(asg.persons) == 0:
         return ConsistencyReport(violations=(), tolerance=tolerance, pairs_checked=0)
     locs = inst.locations()[asg.block_indices]
-    diff = locs[:, None, :] - centers.positions[None, :, :]
-    power = np.einsum("ekc,ekc->ek", diff, diff) - w[None, :]
-    best = power.min(axis=1)
-    assigned = power[np.arange(len(asg.persons)), asg.center_indices]
+    # One center at a time, so no (e, k) array is built: the least power
+    # distance of each entry, and the one to its assigned center.
+    best = np.full(len(asg.persons), np.inf)
+    assigned = np.empty(len(asg.persons))
+    for j, ((cx, cy), wj) in enumerate(zip(centers.positions.tolist(), w.tolist())):
+        dx = locs[:, 0] - cx
+        dy = locs[:, 1] - cy
+        power = dx * dx + dy * dy - wj
+        np.minimum(best, power, out=best)
+        mine = asg.center_indices == j
+        assigned[mine] = power[mine]
     margins = assigned - best
     bad = np.flatnonzero(margins > tolerance)
     violations = tuple(

@@ -11,7 +11,6 @@ import argparse
 import math
 import sys
 import time
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +190,47 @@ def _cell_mismatch(entry: dict, cell: geometry.ConvexCell, weight: float, ring_t
     return ""
 
 
+def _block_indices(inst, asg_ids: list[str]) -> np.ndarray | None:
+    """The block index of each assignment.csv row, or None when the rows
+    are not in the order ``write_outputs`` writes them: grouped by block,
+    in blocks.csv order, with no rows for a block of zero population."""
+    ids = np.array(asg_ids, dtype=object)
+    first = np.ones(len(ids), dtype=bool)  # the first row of each block
+    first[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(first)
+    populated = np.flatnonzero(inst.populations() > 0)
+    if len(starts) != len(populated) or not np.array_equal(
+        ids[starts], np.array(inst.ids, dtype=object)[populated]
+    ):
+        return None
+    return np.repeat(populated, np.diff(starts, append=len(ids)))
+
+
+def _trace_mismatch(
+    trace_rows: list, summary: dict, units_per_cost: float, threshold: float
+) -> str:
+    """The first way trace.csv disagrees with the run it records, "" when
+    none does: the iterations number 0..n-1 with n the summary's count;
+    each cost is its scaled cost in original units, as ``lloyd.run``
+    computes it; each displacement is finite and nonnegative; and a
+    converged run's last displacement is within the threshold."""
+    n = len(trace_rows)
+    if [row[0] for row in trace_rows] != list(range(n)):
+        return "the iterations are not numbered 0, 1, ... in order"
+    if summary.get("iterations") != n:
+        return f"{n} rows, but summary.json counts {summary.get('iterations')!r} iterations"
+    for it, cost, cost_scaled, disp in trace_rows:
+        # the scaled costs are int64 objectives; the range test also keeps
+        # the product from overflowing
+        if not -(2**63) <= cost_scaled < 2**63 or cost != cost_scaled * units_per_cost:
+            return f"iteration {it}: cost {cost!r} is not cost_scaled x {units_per_cost!r}"
+        if not (math.isfinite(disp) and disp >= 0.0):
+            return f"iteration {it}: max_displacement {disp!r}"
+    if summary["converged"] is True and trace_rows and not trace_rows[-1][3] <= threshold:
+        return f"converged, but the last displacement exceeds the threshold {threshold!r}"
+    return ""
+
+
 def cmd_validate(args) -> int:
     out_dir = Path(args.dir)
     try:
@@ -209,16 +249,13 @@ def cmd_validate(args) -> int:
         return EXIT_INPUT
     report = _Report()
 
-    index_of = dict(zip(inst.ids, range(inst.n_blocks)))
-    block_indices = np.fromiter(
-        map(index_of.get, asg_ids, repeat(-1)), dtype=np.int64, count=len(asg_ids)
-    )
+    block_indices = _block_indices(inst, asg_ids)
     structural = report.check(
         "result-set structure",
         centers.k == k
         and bool(np.all(asg_persons > 0))
         and bool(np.all((asg_centers >= 0) & (asg_centers < k)))
-        and bool(np.all(block_indices >= 0)),
+        and block_indices is not None,
         f"k={k}, {len(asg_ids)} assignment rows",
     )
     if not structural:
@@ -296,6 +333,8 @@ def cmd_validate(args) -> int:
     scaled = [c for _, _, c, _ in trace_rows]
     monotone = all(b <= a for a, b in zip(scaled, scaled[1:]))
     report.check("trace cost nonincreasing (scaled ints)", monotone and len(scaled) >= 1)
+    trace_mismatch = _trace_mismatch(trace_rows, summary, model.units_per_cost, threshold)
+    report.check("trace.csv matches the run", not trace_mismatch, trace_mismatch)
 
     if report.failures:
         print("validation failed")

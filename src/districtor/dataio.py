@@ -11,10 +11,11 @@ accepts: quoted fields, LF or CRLF line ends, and blank lines, which are
 skipped. Ids are stripped of surrounding spaces; numbers are parsed by
 ``float`` and ``int``. An id may not hold a comma, a double quote, a CR or
 an LF, since the result files write ids unquoted and could not read it
-back. Block files and assignment.csv are parsed by columns, a bounded
-chunk of lines at a time; a file with a quote or a CR, or any irregular
-row, is read again row by row through ``csv``, which names the line of the
-first bad row.
+back. Block files and assignment.csv are parsed by one ``np.loadtxt`` pass
+each. A file that pass would read differently from ``csv`` (a quote in
+the header or an id, no data rows), a row it rejects, and a file the
+checks after it reject are read again row by row through ``csv``, which
+names the line of the first bad row.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import csv
 import json
 import math
 import sys
-from array import array
+import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .model import (
     BalancedAssignment,
     CenterSet,
     Instance,
+    ModelError,
     RunTrace,
     assignment_cost,
 )
@@ -45,6 +46,10 @@ MAX_ABS_LATITUDE = 89.0
 PLANAR_HEADER = ["block_id", "x", "y", "population"]
 LONLAT_HEADER = ["block_id", "lon", "lat", "population"]
 ASSIGNMENT_HEADER = ["block_id", "center_index", "persons_assigned"]
+
+# The rows of a block CSV and of assignment.csv, as np.loadtxt parses them
+_BLOCK_ROW = np.dtype([("id", "O"), ("x", "f8"), ("y", "f8"), ("p", "i8")])
+_ASSIGNMENT_ROW = np.dtype([("id", "O"), ("c", "i8"), ("p", "i8")])
 
 
 class DataError(ValueError):
@@ -81,34 +86,30 @@ def read_blocks(path: str | Path, k: int, lonlat: bool = False, name: str | None
     """
     path = Path(path)
     expected = LONLAT_HEADER if lonlat else PLANAR_HEADER
-    try:
-        ids, xs, ys, pops = _read_columns(
-            path,
-            lambda found: [h.strip() for h in found] == expected,
-            (str.strip, float, float, int),
-        )
-        pops = np.frombuffer(pops, dtype=np.int64)
-        if (
-            not ids
-            or not all(ids)
-            or len(set(ids)) != len(ids)
-            or not (np.isfinite(xs).all() and np.isfinite(ys).all())
-            or (pops < 0).any()
-        ):
-            raise _Irregular
-    except _Irregular:
-        ids, xs, ys, pops = _read_block_rows(path, expected)
+    name = name if name is not None else path.stem
+    rows = _load_rows(path, lambda found: [h.strip() for h in found] == expected, _BLOCK_ROW)
+    if rows is not None:
+        ids = list(map(str.strip, rows["id"]))
+        if all(ids) and '"' not in "".join(ids):
+            try:
+                return _block_instance(path, ids, rows["x"], rows["y"], rows["p"], k, lonlat, name)
+            except (DataError, ModelError):
+                pass  # read again row by row, which names the line of the first bad row
+    return _block_instance(path, *_read_block_rows(path, expected), k, lonlat, name)
 
+
+def _block_instance(path: Path, ids, xs, ys, pops, k: int, lonlat: bool, name: str) -> Instance:
+    """The Instance of a block file's columns, projected first with ``lonlat``."""
     if lonlat:
         # The sequential Python mean, not np.mean: the reference parallel,
         # and with it every projected coordinate, must not change bits.
-        lat0 = sum(ys) / len(ys)
+        ys = np.asarray(ys, dtype=np.float64)
+        lat0 = sum(ys.tolist()) / len(ys)
         try:
             xs, ys = project(xs, ys, lat0)
         except DataError as exc:
             bad = int(np.argmax(np.abs(ys) >= MAX_ABS_LATITUDE))
             raise DataError(f"{path}: block {ids[bad]!r}: {exc}") from None
-    name = name if name is not None else path.stem
     return Instance(ids=ids, locations=np.column_stack((xs, ys)), populations=pops, k=k, name=name)
 
 
@@ -164,51 +165,35 @@ def _read_block_rows(path: Path, expected: list[str]) -> tuple:
     return tuple(zip(*rows))
 
 
-# Characters of text the columnar reader parses at a time. Its per-chunk
-# lists of field strings stay small; reading a 100,000-row file whole
-# raised the peak memory of a whole solve.
-_CHUNK_CHARS = 1 << 16
+def _load_rows(path: Path, header_ok, dtype: np.dtype) -> np.ndarray | None:
+    """The data rows of a CSV file as a structured array, parsed by one
+    ``np.loadtxt`` pass; None when the row reader must read the file.
 
-
-class _Irregular(Exception):
-    """A file the columnar reader does not take. The per-row reader reads
-    it instead, and names the first bad row."""
-
-
-def _read_columns(path: Path, header_ok, fields) -> list:
-    """The columns of a CSV file, parsed a chunk of lines at a time.
-
-    ``header_ok`` judges the header's fields; ``fields`` holds one converter
-    per column: ``float`` and ``int`` columns come back as ``array('d')``
-    and ``array('q')``, string columns (``str`` or ``str.strip``) as lists.
-    Blank lines are skipped. Raises _Irregular on a quote or CR anywhere, a
-    rejected header, a line with the wrong number of commas or a field the
-    converter rejects.
+    ``header_ok`` judges the header's fields, split at commas with any
+    quotes kept, so a quoted header is rejected. Blank lines are skipped,
+    and a CR ends a line, as it does for ``csv``. None on a rejected
+    header, no data rows, or a row loadtxt rejects (a wrong field count, a
+    field it cannot convert). Ids come back as written, quotes and
+    surrounding spaces included.
     """
-    n = len(fields)
-    cols = [array("d") if f is float else array("q") if f is int else [] for f in fields]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline()
-        if '"' in header or "\r" in header or not header_ok(header.rstrip("\n").split(",")):
-            raise _Irregular
-        while True:
-            text = fh.read(_CHUNK_CHARS)
-            if not text:
-                break
-            if not text.endswith("\n"):
-                text += fh.readline()
-            if '"' in text or "\r" in text:
-                raise _Irregular
-            lines = list(filter(None, text.split("\n")))
-            if not set(map(str.count, lines, repeat(","))) <= {n - 1}:
-                raise _Irregular
-            flat = ",".join(lines).split(",")
-            try:
-                for j, (col, convert) in enumerate(zip(cols, fields)):
-                    col.extend(map(convert, flat[j::n]))
-            except (ValueError, OverflowError):
-                raise _Irregular from None
-    return cols
+    if not header_ok(header.rstrip("\n").split(",")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns of no data rows
+            return np.loadtxt(
+                path,
+                dtype=dtype,
+                delimiter=",",
+                skiprows=1,
+                comments=None,
+                ndmin=1,
+                encoding="utf-8",
+            )
+    except (ValueError, UserWarning):
+        return None
 
 
 @dataclass(frozen=True)
@@ -378,15 +363,13 @@ def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
 def read_assignment_columns(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The block ids, center indices and persons of an assignment.csv, in
     file order; the indices and persons as int64 arrays."""
-    try:
-        ids, centers, persons = _read_columns(
-            Path(path), lambda found: found == ASSIGNMENT_HEADER, (str, int, int)
-        )
-    except _Irregular:
-        rows = _read_csv_rows(
-            path, ASSIGNMENT_HEADER, lambda row: (row[0], int(row[1]), int(row[2]))
-        )
-        ids, centers, persons = ([row[j] for row in rows] for j in range(3))
+    rows = _load_rows(Path(path), lambda found: found == ASSIGNMENT_HEADER, _ASSIGNMENT_ROW)
+    if rows is not None and '"' not in "".join(rows["id"]):
+        return rows["id"].tolist(), rows["c"], rows["p"]
+    rows = _read_csv_rows(
+        path, ASSIGNMENT_HEADER, lambda row: (row[0], int(row[1]), int(row[2]))
+    )
+    ids, centers, persons = ([row[j] for row in rows] for j in range(3))
     try:
         return ids, np.array(centers, dtype=np.int64), np.array(persons, dtype=np.int64)
     except OverflowError:

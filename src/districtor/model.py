@@ -11,9 +11,9 @@ threads. Coordinates are dimensionless planar units (projection happens in
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +31,10 @@ class Instance:
     of locations and a read-only (n,) int64 array of populations, all in
     file order. The constructor validates every block at once; instances
     are not modified after construction.
+
+    ``diameter`` is the diagonal of the blocks' bounding box. It must be 0
+    (every block coincides) or a float whose square is a normal float, so
+    that squared distances normalized by it neither overflow nor underflow.
     """
 
     def __init__(self, ids, locations, populations, k: int, name: str = "") -> None:
@@ -64,6 +68,13 @@ class Instance:
                 f"total population {m} is smaller than k={k}; "
                 "every district needs at least one resident"
             )
+        x, y = locs.T  # one column at a time: an axis-0 reduction is slower
+        diameter = math.hypot(float(x.max() - x.min()), float(y.max() - y.min()))
+        if diameter and not sys.float_info.min <= diameter * diameter <= sys.float_info.max:
+            raise ModelError(
+                f"the blocks' bounding-box diagonal {diameter:g} is out of range: it must be 0 "
+                "or have a square that is a normal float (about 1.5e-154 to 1.3e154)"
+            )
         locs.setflags(write=False)
         pops.setflags(write=False)
         self.ids = ids
@@ -72,18 +83,11 @@ class Instance:
         self.k = k
         self.name = name
         self.m = m  # total population
+        self.diameter = diameter
 
     @property
     def n_blocks(self) -> int:
         return len(self.ids)
-
-    @cached_property
-    def diameter(self) -> float:
-        """Diagonal of the blocks' bounding box (0.0 when all coincide),
-        computed on first use."""
-        locs = self._locations
-        span = locs.max(axis=0) - locs.min(axis=0)
-        return float(math.hypot(float(span[0]), float(span[1])))
 
     def locations(self) -> np.ndarray:
         """Block locations as a read-only (n, 2) float64 array, in file order."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -337,6 +338,79 @@ class TestValidate:
         assert "PASS balance per center (exact)" in out
 
 
+    @pytest.mark.parametrize("edit", ["swap-blocks", "unknown-id", "zero-population-block"])
+    def test_rows_out_of_write_order_fail_structure(self, solved_dir, capsys, edit):
+        """validate maps assignment.csv rows to blocks by the order
+        write_outputs writes them: grouped by block, in blocks.csv order,
+        no rows for a block of zero population."""
+        asg = solved_dir / "assignment.csv"
+        lines = asg.read_text().splitlines()
+        i = next(i for i in range(1, len(lines) - 1)
+                 if lines[i].split(",")[0] != lines[i + 1].split(",")[0])
+        if edit == "swap-blocks":
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif edit == "unknown-id":
+            lines[i] = ",".join(["zz", *lines[i].split(",")[1:]])
+        else:
+            blocks = solved_dir / "blocks.csv"
+            rows = blocks.read_text().splitlines()
+            block = lines[i].split(",")[0] + ","
+            j = next(j for j, row in enumerate(rows) if row.startswith(block))
+            rows[j] = rows[j].rsplit(",", 1)[0] + ",0"
+            blocks.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        asg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "FAIL result-set structure" in out
+        assert "validation failed" in out
+
+    @pytest.mark.parametrize(
+        "column, rows, value",
+        [
+            (0, "last", "+1"),
+            (1, "all", "inf"),
+            (1, "last", "ulp"),
+            (3, "all", "-5"),
+            (3, "first", "nan"),
+            (3, "first", "inf"),
+            (3, "last", "1e300"),
+            (None, None, "iterations+1"),
+        ],
+        ids=[
+            "iteration-renumbered", "cost-inf", "cost-off-by-an-ulp", "displacement-negative",
+            "displacement-nan", "displacement-inf", "converged-above-threshold",
+            "summary-iterations",
+        ],
+    )
+    def test_tampered_trace_fails(self, solved_dir, capsys, column, rows, value):
+        """trace.csv used to be checked by its scaled costs alone: every cost
+        inf and every displacement -5 passed validation."""
+        if column is None:
+            summary = solved_dir / "summary.json"
+            payload = json.loads(summary.read_text())
+            payload["iterations"] += 1
+            summary.write_text(json.dumps(payload), encoding="utf-8")
+        else:
+            trace = solved_dir / "trace.csv"
+            lines = trace.read_text().splitlines()
+            assert len(lines) > 2
+            table = [line.split(",") for line in lines[1:]]
+            picked = {"first": table[:1], "last": table[-1:], "all": table}[rows]
+            for row in picked:
+                old = row[column]
+                row[column] = (
+                    str(int(old) + 1) if value == "+1"
+                    else repr(math.nextafter(float(old), math.inf)) if value == "ulp"
+                    else value
+                )
+            trace.write_text("\n".join([lines[0], *map(",".join, table)]) + "\n",
+                             encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert re.search(r"^FAIL trace.csv matches the run: \S", out, re.M)
+        assert "validation failed" in out
+
+
 class TestStats:
     def test_prints_table_row(self, solved_dir, capsys):
         assert main(["stats", "--dir", str(solved_dir)]) == EXIT_OK
@@ -541,6 +615,12 @@ class TestArtifactFingerprint:
         assert got == self.PINNED
 
 
+def scaled_gaussian(scale):
+    """20 Gaussian blocks of 5 persons, the coordinates multiplied by scale."""
+    xy = np.random.default_rng(20).normal(size=(20, 2)) * scale
+    return [(x, y, 5) for x, y in xy.tolist()]
+
+
 def block_rows(rows):
     return "block_id,x,y,population\n" + "".join(
         f"b{i},{x!r},{y!r},{p}\n" for i, (x, y, p) in enumerate(rows)
@@ -560,6 +640,7 @@ ADVERSARIAL_OK = {
     "far-apart-blocks": (
         [(0.0, 0.0, 4), (1e12, 0.0, 4), (0.0, 1e12, 4), (1e12, 1e12, 4)], 2
     ),
+    "gaussian-at-1e150": (scaled_gaussian(1e150), 3),
 }
 
 ADVERSARIAL_REJECTED = {
@@ -583,6 +664,14 @@ ADVERSARIAL_REJECTED = {
         [(0.0, 0.0, 3), (1.0, 0.0, 4), (0.0, 1.0, 5)], ["--k", "2", "--scale", "1e300"],
         "scaled costs exceed the exact integer range",
     ),
+    # the squared diameter overflows or underflows: these ended in a
+    # traceback from center seeding (1e160, 1e300) or in a false message
+    **{
+        f"gaussian-at-{scale:g}": (
+            scaled_gaussian(scale), ["--k", "3"], "bounding-box diagonal",
+        )
+        for scale in (1e160, 1e300, 1e-160, 1e-300)
+    },
 }
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,8 @@ from districtor.model import (
     assignment_cost,
 )
 from tests.conftest import gaussian_instance, make_instance
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
 def haversine_km(lon1, lat1, lon2, lat2):
@@ -109,11 +113,10 @@ class TestReadBlocks:
         with pytest.raises(DataError, match=r"blocks.csv:3: block_id .* holds a comma, quote"):
             read_blocks(p, k=1)
 
-    def test_bad_row_in_a_later_chunk_names_its_line(self, tmp_path):
+    def test_bad_row_deep_in_a_large_file_names_its_line(self, tmp_path):
         rows = [f"b{i},{i * 0.5!r},{-i * 0.25!r},{i % 7}" for i in range(6_000)]
         p = tmp_path / "blocks.csv"
         write_csv(p, rows)
-        assert p.stat().st_size > 2 * dataio._CHUNK_CHARS
         inst = read_blocks(p, k=1)
         assert inst.ids == tuple(f"b{i}" for i in range(6_000))
         assert inst.populations().tolist() == [i % 7 for i in range(6_000)]
@@ -181,37 +184,32 @@ def reference_read_blocks(path, lonlat):
     return Instance(ids, np.column_stack((xs, ys)), pops, k=1, name=path.stem)
 
 
-NUMBERS = ("1.5", " 2.25 ", "1_0.5", "+5", "-0.0", "1e1", "12", "-3.75")
-POPULATIONS = ("0", "17", " 7 ", "1_000", "+5", "007", "250")
+NUMBERS = ("1.5", " 2.25 ", "+5", "-0.0", "1e1", "12", "-3.75", "\t4.5\t")
+POPULATIONS = ("0", "17", " 7 ", "+5", "007", "250", "\t9\t", str(2**63 - 1))
+# read by float() and int(), rejected by np.loadtxt
+EXOTIC_NUMBERS = ("1_0.5", "1_000.5", "\u0661\u0662.5")
+EXOTIC_POPULATIONS = ("1_000", "\u0661\u0662", str(2**63))
 DEFECTS = (
-    ("id", ""), ("id", "dup"), ("id", '"a,b"'), ("id", '"a""b"'),
+    ("id", ""), ("id", "dup"), ("id", '"a,b"'), ("id", '"a""b"'), ("id", "a\rb"),
     ("x", "nan"), ("y", "inf"), ("x", "abc"), ("y", ""), ("y", "89.5"),
     ("pop", "1e3"), ("pop", "-3"), ("pop", "x"), ("pop", "1.5"), ("pop", "9" * 19),
     ("pop", "9" * 25), ("row", "extra"), ("row", "short"), ("row", "   "),
-    ("header", "wrong"), ("header", '"block_id"'),
+    ("header", "wrong"), ("header", '"block_id"'), ("file", "empty"),
 )
 
 
-@st.composite
-def block_files(draw):
-    """A block CSV, mostly well formed, in every shape the reader accepts,
-    with at most one defect."""
-    lonlat = draw(st.booleans())
-    quoted = draw(st.booleans())
-    n = draw(st.integers(0, 40))
-    number = st.one_of(st.sampled_from(NUMBERS), st.floats(-80.0, 80.0).map(repr))
-    rows = []
-    for i in range(n):
-        forms = [f"b{i}", f" b{i} ", f"b {i}"] + [f'"b{i}"', f'" b{i}"'] * quoted
-        block_id = draw(st.sampled_from(forms))
-        rows.append([block_id, draw(number), draw(number), draw(st.sampled_from(POPULATIONS))])
+def block_file(lonlat, rows, defect, pick=lambda n: n // 2):
+    """The lines of a block CSV: the header, then rows (lists of fields),
+    with one defect applied, to row ``pick(n)`` for a row defect; no lines
+    for the empty-file defect."""
     header = ["block_id", *(("lon", "lat") if lonlat else ("x", "y")), "population"]
-    if draw(st.booleans()):
-        header[0] = " block_id "
-    defect = draw(st.sampled_from([None] * len(DEFECTS) + list(DEFECTS)))
-    if defect is not None and rows:
-        where, value = defect
-        row = rows[draw(st.integers(0, n - 1))]
+    where, value = defect or (None, None)
+    if where == "file":
+        return []
+    if where == "header":
+        header[0] = value
+    elif where is not None and rows:
+        row = rows[pick(len(rows))]
         if where == "id":
             row[0] = rows[0][0].strip('" ') if value == "dup" else value
         elif where in ("x", "y", "pop"):
@@ -222,14 +220,38 @@ def block_files(draw):
             row.pop()
         else:
             row[:] = [value]
-    elif defect is not None:
-        header[0] = defect[1] if defect[0] == "header" else header[0]
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    for _ in range(draw(st.integers(0, 3))):
+    return [",".join(header)] + [",".join(row) for row in rows]
+
+
+@st.composite
+def block_files(draw):
+    """A block CSV, mostly well formed, in every shape the reader accepts,
+    with at most one defect. About half the files are plain: LF line ends,
+    no quotes and numbers that np.loadtxt parses. The others add what it
+    reads differently from csv: quotes, a lone CR, CRLF, digit separators,
+    Unicode digits and integers beyond 64 bits. Ids hold '#', tabs and NUL
+    in both."""
+    lonlat = draw(st.booleans())
+    style = draw(st.sampled_from(["plain"] * 4 + ["quoted", "exotic", "crlf", "cr"]))
+    exotic = style == "exotic"
+    n = draw(st.integers(0, 40))
+    number = st.one_of(
+        st.sampled_from(NUMBERS + EXOTIC_NUMBERS * exotic), st.floats(-80.0, 80.0).map(repr)
+    )
+    population = st.sampled_from(POPULATIONS + EXOTIC_POPULATIONS * exotic)
+    rows = []
+    for i in range(n):
+        forms = [f"b{i}", f" b{i} ", f"b {i}", f"#b{i}", f"\tb{i}\t", f"b\x00{i}"]
+        forms += [f'"b{i}"', f'" b{i}"'] * (style == "quoted")
+        rows.append([draw(st.sampled_from(forms)), draw(number), draw(number), draw(population)])
+    defect = draw(st.sampled_from([None] * (len(DEFECTS) // 2) + list(DEFECTS)))
+    lines = block_file(lonlat, rows, defect, lambda n: draw(st.integers(0, n - 1)))
+    if lines and draw(st.booleans()):
+        lines[0] = lines[0].replace("block_id", " block_id ", 1)
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
         lines.insert(draw(st.integers(1, len(lines))), "")
-    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
-    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
-    return lonlat, text
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(style, "\n")
+    return lonlat, newline.join(lines) + (draw(st.sampled_from([newline, ""])) if lines else "")
 
 
 def _outcome(read, path, lonlat):
@@ -241,17 +263,135 @@ def _outcome(read, path, lonlat):
 
 
 @settings(deadline=None, max_examples=300)
-@given(case=block_files(), chunk=st.sampled_from([8, 40, 1 << 16]))
-def test_columnar_reader_agrees_with_the_row_reference(tmp_path_factory, case, chunk):
+@given(case=block_files())
+def test_columnar_reader_agrees_with_the_row_reference(tmp_path_factory, case):
     """Both readers give the same ids, location bytes and populations, or
-    fail with the same message; chunks of 8 and 40 characters put most
-    files across several chunks."""
+    fail with the same message."""
     lonlat, text = case
     path = tmp_path_factory.getbasetemp() / "agree.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
-        got = _outcome(lambda p, ll: read_blocks(p, k=1, lonlat=ll), path, lonlat)
+    got = _outcome(lambda p, ll: read_blocks(p, k=1, lonlat=ll), path, lonlat)
     assert got == _outcome(reference_read_blocks, path, lonlat)
+
+
+@pytest.mark.parametrize("lonlat", [False, True], ids=["planar", "lonlat"])
+@pytest.mark.parametrize("defect", DEFECTS, ids=[f"{w}:{v!r}" for w, v in DEFECTS])
+def test_each_defect_of_a_plain_file_agrees_with_the_row_reference(tmp_path, defect, lonlat):
+    """Every defect, in the middle row of a file that the loadtxt pass
+    would read, fails as the reference does (or reads as it does)."""
+    rows = [[f"b{i}", f"{i}.5", f"{i + 30}.25", str(i + 1)] for i in range(5)]
+    lines = block_file(lonlat, rows, defect)
+    path = tmp_path / "blocks.csv"
+    path.write_text("\n".join(lines) + "\n" * bool(lines), encoding="utf-8")
+    got = _outcome(lambda p, ll: read_blocks(p, k=1, lonlat=ll), path, lonlat)
+    assert got == _outcome(reference_read_blocks, path, lonlat)
+
+
+def reference_read_assignment(path):
+    """Row-by-row assignment.csv reader: csv.reader plus int(), with the
+    documented messages. The reference for read_assignment_columns."""
+    ids, centers, persons = [], [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != dataio.ASSIGNMENT_HEADER:
+            raise DataError(f"{path}: unexpected header {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            try:
+                center, person = int(row[1]), int(row[2])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed row") from None
+            ids.append(row[0])
+            centers.append(center)
+            persons.append(person)
+    if any(not -(2**63) <= v < 2**63 for v in centers + persons):
+        raise DataError(f"{path}: an integer field exceeds the 64-bit range")
+    return ids, centers, persons
+
+
+ASSIGNMENT_INTS = ("0", "3", " 7 ", "+5", "-2", "007", "\t9\t", str(2**63 - 1))
+# read by int() or rejected by it, and rejected by np.loadtxt
+EXOTIC_ASSIGNMENT_INTS = ("1_000", "\u0661\u0662", "1.5", "x", "", str(2**63), str(-(2**63) - 1))
+
+
+@st.composite
+def assignment_files(draw):
+    """An assignment.csv in the shapes write_outputs writes and the row
+    reader reads, with the hazards of ``block_files``: about half the files
+    are plain, and a quoted id may appear in any of them."""
+    style = draw(st.sampled_from(["plain"] * 4 + ["exotic", "crlf", "cr"]))
+    ints = st.one_of(
+        st.integers(0, 9).map(str),
+        st.sampled_from(ASSIGNMENT_INTS + EXOTIC_ASSIGNMENT_INTS * (style == "exotic")),
+    )
+    rows = []
+    for i in range(draw(st.integers(0, 30))):
+        forms = [f"b{i}", f" b{i} ", f"#b{i}", f"b\x00{i}"] * 3 + [f'"b{i}"']
+        block_id = draw(st.sampled_from(forms))
+        rows.append([block_id, draw(ints), draw(ints)])
+    if rows and draw(st.integers(0, 3)) == 0:  # one row with a field too many or too few
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            row.append("1")
+        else:
+            row.pop()
+    header = ",".join(dataio.ASSIGNMENT_HEADER)
+    header = draw(
+        st.sampled_from([header] * 6 + [f'"{header}"', '"block_id"' + header[8:], "id,c,p"])
+    )
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(style, "\n")
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return "" if draw(st.integers(0, 30)) == 0 else text
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=assignment_files())
+def test_assignment_reader_agrees_with_the_row_reference(tmp_path_factory, text):
+    """read_assignment_columns gives the reference's ids and integers, or
+    fails with the same message."""
+    path = tmp_path_factory.getbasetemp() / "assignment.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            ids, centers, persons = read(path)
+        except DataError as exc:
+            return str(exc)
+        return ids, np.asarray(centers).tolist(), np.asarray(persons).tolist()
+
+    assert outcome(dataio.read_assignment_columns) == outcome(reference_read_assignment)
+
+
+def test_files_of_a_run_take_the_loadtxt_path(tmp_path):
+    """The blocks.csv and assignment.csv that write_outputs writes, and a
+    lon/lat input in the benchmark generator's shape, are read without the
+    row readers: a fallback would double the read time without a word."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import gen
+    finally:
+        sys.path.remove(PERFBENCH)
+    inst, result, _, paths = small_run(tmp_path)
+    lonlat = tmp_path / "lonlat.csv"
+    pops = gen.write_blocks(lonlat, 3, 300, 9_000, lonlat=True)
+    refuse = mock.Mock(side_effect=AssertionError("read row by row"))
+    with mock.patch.object(dataio, "_read_block_rows", refuse), \
+            mock.patch.object(dataio, "_read_csv_rows", refuse):
+        assert read_blocks(paths["blocks"], k=inst.k).ids == inst.ids
+        ids, centers, persons = dataio.read_assignment_columns(paths["assignment"])
+        assert ids == [inst.ids[b] for b in result.assignment.block_indices]
+        assert np.array_equal(centers, result.assignment.center_indices)
+        assert np.array_equal(persons, result.assignment.persons)
+        read = read_blocks(lonlat, k=3, lonlat=True)
+        assert np.array_equal(read.populations(), pops)
+    refuse.assert_not_called()
 
 
 def test_assignment_columns_match_the_rows(tmp_path):
