@@ -82,20 +82,27 @@ def read_blocks(path: str | Path, k: int, lonlat: bool = False, name: str | None
     coordinates are projected to planar km (reference parallel = mean input
     latitude); otherwise the header is block_id,x,y,population and the
     coordinates pass through. Zero-population blocks are kept. Any malformed
-    row fails with its line number.
+    row fails with its line number, and a file that is not UTF-8 fails with
+    a DataError that names it.
     """
     path = Path(path)
     expected = LONLAT_HEADER if lonlat else PLANAR_HEADER
     name = name if name is not None else path.stem
-    rows = _load_rows(path, lambda found: [h.strip() for h in found] == expected, _BLOCK_ROW)
-    if rows is not None:
-        ids = list(map(str.strip, rows["id"]))
-        if all(ids) and '"' not in "".join(ids):
-            try:
-                return _block_instance(path, ids, rows["x"], rows["y"], rows["p"], k, lonlat, name)
-            except (DataError, ModelError):
-                pass  # read again row by row, which names the line of the first bad row
-    return _block_instance(path, *_read_block_rows(path, expected), k, lonlat, name)
+    try:
+        rows = _load_rows(path, lambda found: [h.strip() for h in found] == expected, _BLOCK_ROW)
+        if rows is not None:
+            ids = list(map(str.strip, rows["id"]))
+            if all(ids) and '"' not in "".join(ids):
+                try:
+                    return _block_instance(
+                        path, ids, rows["x"], rows["y"], rows["p"], k, lonlat, name
+                    )
+                except (DataError, ModelError):
+                    pass  # read again row by row, which names the line of the first bad row
+        return _block_instance(path, *_read_block_rows(path, expected), k, lonlat, name)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise DataError(f"{path}: not UTF-8 text (undecodable byte 0x{bad:02x})") from None
 
 
 def _block_instance(path: Path, ids, xs, ys, pops, k: int, lonlat: bool, name: str) -> Instance:
@@ -298,6 +305,11 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
         "final_cost_scaled": outputs.trace.iterations[-1].cost_scaled,
         "scale": outputs.scale,
         "threshold": outputs.threshold,
+        # work counts of the run's solves, summed; deterministic like the rest
+        "solver": {
+            field: sum(getattr(rec.solve, field) for rec in outputs.trace.iterations)
+            for field in ("sweeps", "augmentations", "reprices", "table_reads")
+        },
         "per_center": [
             {
                 "index": i,

@@ -7,11 +7,16 @@ Specialized to instances with many supply nodes and few demand nodes
    dual. Gauss-Seidel sweeps of exact coordinate ascent, in numpy, set each
    potential in turn to the weighted quantile at which the supply nodes
    that prefer its node hold its demand. They start from the given
-   potentials and stop once the greedy start, every supply node at its
-   cheapest demand node, overfills by at most 1/32 of an average demand, or
-   when a sweep does not lower that overfill. The greedy start is searched
-   for once, under the starting potentials; after that each sweep tracks
-   it as it goes. Every n-sized pass, here and in the read-out and the
+   potentials, and every sweep is kept: exact ascent never lowers the dual,
+   even when a sweep raises the excess, the overfill of the greedy start
+   (every supply node at its cheapest demand node). They stop once that
+   excess is at most 1/32 of an average demand and the last sweep did not
+   halve it; at a fixed point; at the tie floor, when a sweep did not lower
+   the excess and it is no more than the supply of the rows whose minimum
+   is tied and whose greedy node is overfull, supply that the repair moves
+   along tight arcs; or after 24 sweeps. The greedy start is searched for
+   once, under the starting potentials; after that each sweep tracks it as
+   it goes. Every n-sized pass, here and in the read-out and the
    certificate, runs down one demand node's column of the cost matrix,
    which is contiguous when the matrix is column-major. No pass is masked
    and no rows are gathered: the rows of supply nodes with zero supply stay
@@ -58,12 +63,22 @@ import numpy as np
 # overflow sum(flow * cost).
 _SAFE_OBJECTIVE = 2**62
 
-# Dual sweeps stop once the greedy start overfills its demand nodes by at
-# most 1/_SWEEP_STOP of an average demand. The constant balances the numpy
+# Dual sweeps may stop once the greedy start overfills its demand nodes by
+# at most 1/_SWEEP_STOP of an average demand. The constant balances the numpy
 # work of one more sweep (n*k entries) against the augmentations it saves
 # (a search of the k x k table each); it was set from augmentation counts,
-# not timings.
+# not timings. They stop there only when the last sweep did not halve the
+# excess: a cold solve at 100k x 7 (the second Lloyd step of the statewide
+# benchmark run) otherwise stopped just under the threshold after 2 sweeps,
+# at 17,970 persons of excess and 751 augmentations; it now takes 5 sweeps
+# to 902 persons and 66 augmentations.
 _SWEEP_STOP = 32
+
+# At most this many sweeps per solve. It bounds the sweeps of a solve whose
+# excess falls slowly but neither reaches the threshold nor stalls at the
+# tie floor; also set from counts: on the k = 53 benchmark run, a cap of 12
+# left 1,228 augmentations and 653 reprices, 24 leaves 1,076 and 496.
+_MAX_SWEEPS = 24
 
 
 class FlowError(ValueError):
@@ -361,30 +376,57 @@ def _sweep(
     return v - v.max(), choice
 
 
+def _tied_supply(
+    C: np.ndarray, s: np.ndarray, v: np.ndarray, choice: np.ndarray, over: np.ndarray
+) -> int:
+    """The supply on rows whose cheapest reduced cost under v is tied and
+    whose greedy node choice is overfull (marked in over), which the repair
+    moves along tight arcs. One pass down the columns of C."""
+    best = C[:, 0] - v[0]
+    tied = np.zeros(C.shape[0], dtype=bool)
+    own = np.empty_like(best)
+    for x in range(1, v.shape[0]):
+        np.subtract(C[:, x], v[x], out=own)
+        tied &= own >= best
+        tied |= own == best
+        np.minimum(best, own, out=best)
+    return int(s @ (tied & over[choice]))
+
+
 def _dual_sweeps(
     C: np.ndarray, supplies: np.ndarray, demands: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SolveStats]:
     """Improve the potentials by dual sweeps, then build the greedy start.
 
-    Sweeps stop once the greedy start overfills its demand nodes by at most
-    total / (_SWEEP_STOP * k), or when a sweep does not lower that excess
-    (its potentials are then dropped). Rows without supply ride along with
-    weight 0. Returns the potentials, each supply node's greedy demand node
-    (-1 when it has no supply), the amounts received and the sweep counts.
+    Every sweep is kept. Sweeps stop at the first of: the excess of the
+    greedy start is 0, or at most total / (_SWEEP_STOP * k) and the last
+    sweep, if any, did not halve it; a sweep returned the potentials it was
+    given; a sweep did not lower the excess, which is at most the supply of
+    tied rows at overfull nodes (the tie floor, checked only then); or
+    _MAX_SWEEPS sweeps. Rows without supply ride along with weight 0.
+    Returns the potentials, each supply node's greedy demand node (-1 when
+    it has no supply), the amounts received and the sweep counts.
     """
     k = v.shape[0]
     total = int(supplies.sum())
     choice = _greedy(C, v)
     received, excess = _load(choice, supplies, demands)
-    before = excess
+    before = last = excess
     sweeps = 0
-    while excess * _SWEEP_STOP * k > total:
-        trial, trial_choice = _sweep(C, supplies, demands, v)
-        sweeps += 1
-        trial_received, trial_excess = _load(trial_choice, supplies, demands)
-        if trial_excess >= excess:
+    while excess and sweeps < _MAX_SWEEPS:
+        if excess * _SWEEP_STOP * k <= total and (not sweeps or 2 * excess > last):
             break
-        v, choice, received, excess = trial, trial_choice, trial_received, trial_excess
+        start = v - v.max()
+        v, choice = _sweep(C, supplies, demands, v)
+        sweeps += 1
+        last = excess
+        received, excess = _load(choice, supplies, demands)
+        if np.array_equal(v, start):
+            break
+        if excess >= last and excess <= _tied_supply(
+            C, supplies, v, choice, received > demands
+        ):
+            break
     choice[np.flatnonzero(supplies == 0)] = -1
     stats = SolveStats(sweeps=sweeps, excess_before=before, excess_after=excess)
     return v, choice, received, stats

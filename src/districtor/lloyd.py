@@ -176,7 +176,12 @@ def run(
             converged = True
             break
         centers = CenterSet(positions=new_positions, capacities=centers.capacities)
-        warm = res.flow_solution.demand_potentials
+        # The first move carries the seeded centers furthest, so the seeds'
+        # potentials are a poor start for its solve, which starts cold: on
+        # the benchmark's k = 53 run it makes 86 augmentations after 5
+        # sweeps, against 340 after 24 from the seeds' potentials (on its
+        # 100k-block run, 66 after 5 against 17 after 6).
+        warm = res.flow_solution.demand_potentials if it else None
 
     assert final is not None
     trace = RunTrace(iterations=tuple(records), converged=converged, seed=cfg.seed)

@@ -225,7 +225,8 @@ class IterationRecord:
 
     ``solve`` holds the work counts of the iteration's flow solve and
     ``rejected`` the number of centers whose centroid move the cost guard
-    refused. Neither is written to the result set.
+    refused. summary.json holds the run's totals of four solve counts;
+    nothing else of either is written to the result set.
     """
 
     index: int

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from districtor import flow
+from districtor.assignment import ScaledCostPolicy, cost_model_for
 from districtor.model import CenterSet, Instance, balanced_capacities
 
 
@@ -37,6 +39,14 @@ def gaussian_instance(
     locs = hubs[mix] + rng.normal(0.0, 1.0, size=(n, 2)) * spread[mix][:, None]
     pops = distribute_population(rng, n, m)
     return make_instance(locs, pops, k, name=name)
+
+
+def transshipment(inst: Instance, centers: CenterSet) -> flow.TransshipmentInstance:
+    """The flow instance that solve_balanced builds for these centers."""
+    costs = cost_model_for(inst, ScaledCostPolicy()).int_costs(
+        inst.locations(), centers.positions
+    )
+    return flow.TransshipmentInstance(costs, inst.populations(), centers.capacities)
 
 
 def uniform_instance(seed: int, n: int, m: int, k: int, name: str = "uniform") -> Instance:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from districtor import dataio, lloyd
 from districtor.cli import (
     EXIT_INPUT,
     EXIT_NOT_CONVERGED,
@@ -555,6 +556,21 @@ class TestSummaryDeterminism:
         assert sa == sb
         assert (out_a / "cells.json").read_bytes() == (out_b / "cells.json").read_bytes()
 
+    def test_solver_totals_sum_the_trace(self, tmp_path):
+        # the same run through the library: every iteration's solve counts
+        blocks = tmp_path / "b.csv"
+        write_gauss_instance(blocks, seed=21)
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(blocks), "--k", "3", "--seed", "9",
+                     "--out", str(out)]) == EXIT_OK
+        solver = json.loads((out / "summary.json").read_text())["solver"]
+        trace = lloyd.run(dataio.read_blocks(blocks, k=3), lloyd.LloydConfig(seed=9)).trace
+        fields = ("sweeps", "augmentations", "reprices", "table_reads")
+        assert solver == {
+            f: sum(getattr(it.solve, f) for it in trace.iterations) for f in fields
+        }
+        assert solver["sweeps"] > 0 and solver["augmentations"] > 0
+
 
 class TestBlockIds:
     """Every id that solve accepts must come back from validate's read of
@@ -688,6 +704,21 @@ class TestAdversarialInputs:
                      "--out", str(out)]) == EXIT_OK
         assert main(["validate", "--dir", str(out)]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("header", ["block_id,x,y,population", "block_id,lon,lat,population"])
+    def test_non_utf8_block_file_is_an_input_error(self, tmp_path, capsys, header):
+        # both block readers decoded the file as UTF-8 and solve caught
+        # neither's UnicodeDecodeError
+        blocks = tmp_path / "b.csv"
+        blocks.write_bytes(header.encode() + b"\na\xff,0.0,0.0,3\nb,1.0,0.0,4\n")
+        flags = ["--lonlat"] if "lon" in header else []
+        code = main(["solve", "--input", str(blocks), "--k", "2", "--seed", "0", *flags,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err == f"error: {blocks}: not UTF-8 text (undecodable byte 0xff)\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "rows, flags, message", ADVERSARIAL_REJECTED.values(), ids=ADVERSARIAL_REJECTED.keys()

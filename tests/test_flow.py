@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from districtor import flow
+from districtor.lloyd import seed_centers
+from tests.conftest import gaussian_instance, transshipment
 from tests.oracle import brute_force_transport
 
 
@@ -331,6 +333,81 @@ class TestDualSweeps:
                 # the sweep's own greedy start: lowest index on ties
                 assert np.array_equal(choice, np.argmin(C - v, axis=1))
                 dual = swept
+
+    @staticmethod
+    def stop_rule_cases(rng):
+        """(costs, supplies, demands, start): random instances from cold and
+        warm starts, then the cold 5k-block solve whose second sweep raises
+        the excess (30,140 -> 14,760 -> 14,877)."""
+        for t in range(40):
+            inst = random_instance(rng, max_side=40, max_supply=30, max_cost=10**6)
+            k = inst.n_demand
+            if k < 2:  # one demand node has nothing to sweep
+                continue
+            start = rng.integers(-(10**6), 10**6, size=k) if t % 2 else np.zeros(k, np.int64)
+            yield inst.costs, inst.supplies, inst.demands, start
+        gauss = gaussian_instance(1, n=5_000, m=150_000, k=7)
+        inst = transshipment(gauss, seed_centers(gauss, 7, 0))
+        yield inst.costs, inst.supplies, inst.demands, np.zeros(7, np.int64)
+
+    def test_every_sweep_is_kept_and_the_dual_never_falls(self):
+        # the returned potentials are those of stats.sweeps consecutive
+        # sweeps from the start, even where a sweep raised the excess
+        raised_then_kept = 0
+        for C, s, d, start in self.stop_rule_cases(np.random.default_rng(13)):
+            v, _, _, stats = flow._dual_sweeps(C, s, d, start)
+            assert 0 <= stats.sweeps <= 24
+            replay = start
+            excess = [flow._load(flow._greedy(C, start), s, d)[1]]
+            for _ in range(stats.sweeps):
+                replay, choice = flow._sweep(C, s, d, replay)
+                excess.append(flow._load(choice, s, d)[1])
+            if stats.sweeps:
+                assert np.array_equal(v, replay)
+            assert (stats.excess_before, stats.excess_after) == (excess[0], excess[-1])
+            raised_then_kept += any(b > a for a, b in zip(excess, excess[1:-1]))
+            dual = [int(d @ w) + int(s @ (C - w).min(axis=1)) for w in (start, v)]
+            assert dual[1] >= dual[0]
+        assert raised_then_kept
+
+    @staticmethod
+    def counted_tied_supply(monkeypatch):
+        calls = []
+        tied_supply = flow._tied_supply
+
+        def counted(*args):
+            calls.append(tied_supply(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(flow, "_tied_supply", counted)
+        return calls
+
+    def test_stops_at_the_tie_floor(self, monkeypatch):
+        # The first sweep lowers the excess from 6 to 1; the second leaves it
+        # at 1 and is no fixed point. Under its potentials row 2 has reduced
+        # cost 3 at every node, so its 3 persons are tied at overfull node 0
+        # and the repair moves the one person of excess: the sweeps stop
+        # there, and the tie floor is counted on that stalled sweep only.
+        calls = self.counted_tied_supply(monkeypatch)
+        C = np.array([[3, 1, 3], [0, 1, 0], [1, 0, 3]])
+        s, d = np.array([3, 1, 3]), np.array([2, 0, 5])
+        v, base, received, stats = flow._dual_sweeps(C, s, d, np.zeros(3, np.int64))
+        assert (stats.sweeps, stats.excess_before, stats.excess_after) == (2, 6, 1)
+        assert calls == [3]
+        assert v.tolist() == [-2, -3, 0] and base.tolist() == [2, 2, 0]
+        assert received.tolist() == [3, 0, 4]
+        first = flow._sweep(C, s, d, np.zeros(3, np.int64))[0]
+        assert not np.array_equal(v, first)  # the second sweep is no fixed point
+
+    @pytest.mark.parametrize("start", [[0, 0], [7, 7], [-3, -3]])
+    def test_a_fixed_point_stops_at_once(self, monkeypatch, start):
+        # every row is tied, so the sweep returns the (normalized) potentials
+        # it was given, and no tie-floor pass is made
+        calls = self.counted_tied_supply(monkeypatch)
+        C, s, d = np.zeros((2, 2), np.int64), np.array([1, 1]), np.array([1, 1])
+        v, _, _, stats = flow._dual_sweeps(C, s, d, np.array(start))
+        assert (stats.sweeps, stats.excess_before, stats.excess_after) == (1, 1, 1)
+        assert v.tolist() == [0, 0] and calls == []
 
     @pytest.mark.parametrize("k", [2, 7, 53])
     def test_rows_without_supply_change_nothing(self, k):
