@@ -10,7 +10,6 @@ moving. The resulting districts are cells of a convex power diagram.
 from .assignment import (
     ConsistencyReport,
     ScaledCostPolicy,
-    min_cost_balanced_assignment,
     verify_power_consistency,
 )
 from .model import (
@@ -39,7 +38,6 @@ __all__ = [
     "ScaledCostPolicy",
     "assignment_cost",
     "balanced_capacities",
-    "min_cost_balanced_assignment",
     "verify_power_consistency",
     "__version__",
 ]

@@ -68,13 +68,14 @@ class CostModel:
         """Integer costs between the points of a and b, (..., 2) arrays that
         broadcast against each other; every cost has the same bits as the
         matching entry of ``int_costs``."""
-        scaled = a[..., 0] - b[..., 0]
-        dy = a[..., 1] - b[..., 1]
-        np.multiply(scaled, scaled, out=scaled)
-        np.multiply(dy, dy, out=dy)
-        np.add(scaled, dy, out=scaled)
-        np.multiply(scaled, self.scale / (self.diameter * self.diameter), out=scaled)
-        # scaled is nonnegative; NaN and inf fail the comparison too
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = a[..., 0] - b[..., 0]
+            dy = a[..., 1] - b[..., 1]
+            np.multiply(scaled, scaled, out=scaled)
+            np.multiply(dy, dy, out=dy)
+            np.add(scaled, dy, out=scaled)
+            np.multiply(scaled, self.scale / (self.diameter * self.diameter), out=scaled)
+        # scaled is nonnegative; NaN and inf (overflows) fail the comparison too
         if scaled.size and not float(scaled.max()) < 2.0**62:
             raise flow.OverflowRiskError(
                 "scaled costs exceed the exact integer range; lower the cost scaling"
@@ -92,10 +93,12 @@ class ScaledSolveResult:
     """Rich result of one balanced-assignment solve."""
 
     assignment: BalancedAssignment
-    weights: PowerWeights  # original squared-distance units, min-normalized to 0
-    objective_scaled: int
+    # Power weights from the LP duals, original squared-distance units,
+    # minimum 0. Each positive-flow pair's weighted squared distance to its
+    # center is least among all centers, up to consistency_tolerance().
+    weights: PowerWeights
     cost_model: CostModel
-    flow_solution: flow.FlowSolution
+    flow_solution: flow.FlowSolution  # .objective is the exact scaled cost
 
 
 def solve_balanced(
@@ -104,7 +107,9 @@ def solve_balanced(
     policy: ScaledCostPolicy = ScaledCostPolicy(),
     warm_potentials: np.ndarray | None = None,
 ) -> ScaledSolveResult:
-    """Solve and certify the balanced assignment; returns the full result."""
+    """Minimum-cost balanced assignment for these centers, certified by
+    ``flow.certify`` (conservation, exact balance, optimality), plus power
+    weights from the LP duals (see ``ScaledSolveResult.weights``)."""
     centers.validate_for(inst)
     model = cost_model_for(inst, policy)
     costs = model.int_costs(inst.locations(), centers.positions)
@@ -124,27 +129,9 @@ def solve_balanced(
     return ScaledSolveResult(
         assignment=asg,
         weights=weights,
-        objective_scaled=sol.objective,
         cost_model=model,
         flow_solution=sol,
     )
-
-
-def min_cost_balanced_assignment(
-    inst: Instance,
-    centers: CenterSet,
-    policy: ScaledCostPolicy = ScaledCostPolicy(),
-) -> tuple[BalancedAssignment, PowerWeights]:
-    """Minimum-cost balanced assignment plus power weights from the LP duals.
-
-    The returned weights are in original squared-distance units and are
-    normalized so their minimum is zero (adding a constant to all weights
-    leaves the power diagram unchanged). For every positive-flow pair the
-    weighted squared distance to the assigned center is minimal among all
-    centers, up to the cost model's rounding slack.
-    """
-    res = solve_balanced(inst, centers, policy)
-    return res.assignment, res.weights
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio, geometry, lloyd
-from .assignment import ScaledCostPolicy, cost_model_for, verify_power_consistency
+from .assignment import AssignmentError, ScaledCostPolicy, cost_model_for, verify_power_consistency
 from .dataio import DataError, SolveOutputs
 from .flow import FlowError
 from .lloyd import LloydConfig, RunResult, SeedingError
@@ -79,16 +79,13 @@ def cmd_solve(args) -> int:
     if args.k < 1 or args.restarts < 1 or args.max_iters < 1:
         print("error: k, restarts and max-iters must be positive", file=sys.stderr)
         return EXIT_INPUT
-    if not (args.scale > 0 and math.isfinite(args.scale)):
-        print("error: scale must be positive and finite", file=sys.stderr)
-        return EXIT_INPUT
     try:
+        policy = ScaledCostPolicy(scale=args.scale)
         inst = dataio.read_blocks(args.input, k=args.k, lonlat=args.lonlat)
-    except (DataError, ModelError, OSError) as exc:
+    except (AssignmentError, DataError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    policy = ScaledCostPolicy(scale=args.scale)
     started = time.perf_counter()
     best: tuple[tuple[int, int], RunResult] | None = None
     try:
@@ -293,7 +290,11 @@ def cmd_validate(args) -> int:
     )
 
     centroids = asg.centroids(inst, k)
-    centroid_tol = max(threshold, 2.0 * model.diameter / math.sqrt(policy.scale))
+    # The centroid sums round too, by about a float of the largest
+    # coordinate per entry; for blocks far from the origin for their
+    # spread, that exceeds the rounding of the costs.
+    rounding = 4.0 * (len(asg.persons) + 1) * float(np.spacing(np.abs(inst.locations()).max()))
+    centroid_tol = max(threshold, 2.0 * model.diameter / math.sqrt(policy.scale), rounding)
     drift = np.sqrt(((centroids - centers.positions) ** 2).sum(axis=1))
     report.check(
         "centroid condition",

@@ -18,13 +18,6 @@ from .model import CenterSet, ModelError, PowerWeights
 _FRAME_LABELS = (-1, -2, -3, -4)
 
 
-def _positions(centers) -> np.ndarray:
-    if isinstance(centers, CenterSet):
-        return centers.positions
-    pos = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
-    return pos
-
-
 @dataclass(frozen=True)
 class ConvexCell:
     """One power region clipped to the frame.
@@ -140,7 +133,10 @@ def default_frame(points: np.ndarray, margin: float = 0.05) -> tuple[float, floa
     diag = float(np.hypot(span[0], span[1]))
     pad_x = margin * (span[0] if span[0] > 0 else (diag if diag > 0 else 1.0))
     pad_y = margin * (span[1] if span[1] > 0 else (diag if diag > 0 else 1.0))
-    return (float(lo[0] - pad_x), float(lo[1] - pad_y), float(hi[0] + pad_x), float(hi[1] + pad_y))
+    # a pad below the coordinates' resolution still widens each side by a float
+    lo = np.minimum(lo - (pad_x, pad_y), np.nextafter(lo, -np.inf))
+    hi = np.maximum(hi + (pad_x, pad_y), np.nextafter(hi, np.inf))
+    return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
 
 def compute_cells(
@@ -154,7 +150,9 @@ def compute_cells(
     cells are returned with an empty vertex list (a center's power region
     can be empty); cells of the nonempty centers tile the frame.
     """
-    pos = _positions(centers)
+    if isinstance(centers, CenterSet):
+        centers = centers.positions
+    pos = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     k = pos.shape[0]
     if w.shape[0] != k:
@@ -216,19 +214,3 @@ def diagram_stats(cells: list[ConvexCell]) -> DiagramStats:
         average_sides=average,
         nonempty_cells=nonempty,
     )
-
-
-def point_in_cell(
-    p: Sequence[float],
-    cell_index: int,
-    centers,
-    weights: PowerWeights,
-    tolerance: float,
-) -> bool:
-    """True when p is weighted-no-farther from its center than from any other,
-    within tolerance."""
-    pos = _positions(centers)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    pt = np.asarray(p, dtype=np.float64).reshape(2)
-    power = np.sum((pos - pt) ** 2, axis=1) - w
-    return bool(power[cell_index] <= power.min() + tolerance)

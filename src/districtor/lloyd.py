@@ -98,17 +98,11 @@ def seed_centers(inst: Instance, k: int, seed: int | np.random.Generator) -> Cen
 def centroid_step(inst: Instance, asg: BalancedAssignment) -> CenterSet:
     """Move each center to the flow-weighted mean of its assigned blocks.
 
-    Capacities are carried over from the assignment totals (they equal the
-    balanced capacities by the assignment invariants).
+    Capacities are the assignment totals: the balanced capacities on a
+    certified assignment. ``CenterSet`` rejects a center with none.
     """
-    if len(asg.persons) == 0:
-        raise ModelError("empty assignment")
     k = int(asg.center_indices.max()) + 1
-    counts = asg.per_center_population(k)
-    if np.any(counts < 1):
-        empty = int(np.flatnonzero(counts < 1)[0])
-        raise ModelError(f"internal invariant failure: center {empty} has no residents")
-    return CenterSet(positions=asg.centroids(inst, k), capacities=counts)
+    return CenterSet(positions=asg.centroids(inst, k), capacities=asg.per_center_population(k))
 
 
 def _guarded_positions(
@@ -164,8 +158,8 @@ def run(
         records.append(
             IterationRecord(
                 index=it,
-                cost=res.objective_scaled * res.cost_model.units_per_cost,
-                cost_scaled=res.objective_scaled,
+                cost=res.flow_solution.objective * res.cost_model.units_per_cost,
+                cost_scaled=res.flow_solution.objective,
                 max_displacement=disp,
                 solve=res.flow_solution.stats,
                 rejected=int(np.any(new_positions != candidate.positions, axis=1).sum()),

@@ -5,7 +5,8 @@ for a handful of persons and centers. ``linprog_transport`` and
 ``network_simplex_transport`` hand the same transshipment to two outside
 solvers, scipy's HiGHS and networkx's network simplex, for instances of
 hundreds of blocks. None of them shares machinery with the production
-solver, so each can serve as an oracle.
+solver, so each can serve as an oracle. ``point_in_cell`` reads the
+power-cell condition directly from its definition.
 """
 
 from __future__ import annotations
@@ -212,6 +213,17 @@ def naive_centroid(points, weights) -> tuple[float, float]:
         raise ValueError("total weight must be positive")
     mean = (pts * w[:, None]).sum(axis=0) / total
     return float(mean[0]), float(mean[1])
+
+
+def point_in_cell(p, cell_index: int, centers, weights, tolerance: float) -> bool:
+    """True when p is weighted-no-farther from center ``cell_index`` than
+    from any other, within tolerance: the power-cell condition, read from
+    the definition rather than from the clipped polygons."""
+    pos = np.asarray(getattr(centers, "positions", centers), dtype=np.float64).reshape(-1, 2)
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    pt = np.asarray(p, dtype=np.float64).reshape(2)
+    power = np.sum((pos - pt) ** 2, axis=1) - w
+    return bool(power[cell_index] <= power.min() + tolerance)
 
 
 def swap_heuristic(locations, centers, matching: list[int]) -> list[int]:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from districtor.assignment import (
     CostModel,
     ScaledCostPolicy,
     cost_model_for,
-    min_cost_balanced_assignment,
     solve_balanced,
     verify_power_consistency,
 )
@@ -39,7 +39,8 @@ class TestTrivialMatchings:
         locs = [(0.0, 0.0), (3.0, 1.0), (-2.0, 5.0)]
         inst = make_instance(locs, [1, 1, 1], k=3)
         centers = CenterSet(positions=locs, capacities=[1, 1, 1])
-        asg, weights = min_cost_balanced_assignment(inst, centers)
+        res = solve_balanced(inst, centers)
+        asg, weights = res.assignment, res.weights
         assert assignment_cost(inst, centers, asg) == 0.0
         assert asg.block_indices.tolist() == [0, 1, 2]
         assert asg.center_indices.tolist() == [0, 1, 2]
@@ -53,13 +54,13 @@ class TestTrivialMatchings:
         inst = make_instance([(0, 0), (1, 0)], [1, 1], k=2)
         centers = CenterSet(positions=[(0, 0), (1, 0)], capacities=[1, 2])
         with pytest.raises(ModelError):
-            min_cost_balanced_assignment(inst, centers)
+            solve_balanced(inst, centers)
 
     def test_overflow_policy_rejected(self):
         inst = make_instance([(0, 0), (1, 0)], [1, 1], k=2)
         centers = CenterSet(positions=[(0, 0), (1, 0)], capacities=[1, 1])
         with pytest.raises(flow.OverflowRiskError):
-            min_cost_balanced_assignment(inst, centers, ScaledCostPolicy(scale=1e19))
+            solve_balanced(inst, centers, ScaledCostPolicy(scale=1e19))
 
 
 class TestHexagonCounterExample:
@@ -79,7 +80,8 @@ class TestHexagonCounterExample:
         assert best == tuple(short)
         assert costs[tuple(long)] > costs[tuple(short)]
 
-        asg, weights = min_cost_balanced_assignment(inst, centers)
+        res = solve_balanced(inst, centers)
+        asg, weights = res.assignment, res.weights
         assert asg.center_indices.tolist() == short
         got = assignment_cost(inst, centers, asg)
         assert got == pytest.approx(costs[tuple(short)], rel=1e-9)
@@ -136,14 +138,15 @@ class TestPowerConsistency:
     def test_single_center_always_consistent(self):
         inst = make_instance([(0, 0), (5, 5)], [2, 1], k=1)
         centers = CenterSet(positions=[(9, 9)], capacities=[3])
-        asg, weights = min_cost_balanced_assignment(inst, centers)
+        res = solve_balanced(inst, centers)
+        asg, weights = res.assignment, res.weights
         report = verify_power_consistency(inst, centers, asg, weights, tolerance=0.0)
         assert report.ok
 
     def test_weight_count_checked(self):
         inst = make_instance([(0, 0), (1, 0)], [1, 1], k=2)
         centers = CenterSet(positions=[(0, 0), (1, 0)], capacities=[1, 1])
-        asg, _ = min_cost_balanced_assignment(inst, centers)
+        asg = solve_balanced(inst, centers).assignment
         with pytest.raises(AssignmentError):
             verify_power_consistency(inst, centers, asg, np.zeros(3), tolerance=0.0)
 
@@ -177,7 +180,7 @@ class TestSplitting:
     def test_weights_normalized_to_zero_min(self, rng):
         for _ in range(20):
             inst, centers = random_small_instance(rng)
-            _, weights = min_cost_balanced_assignment(inst, centers)
+            weights = solve_balanced(inst, centers).weights
             assert float(np.min(weights)) == 0.0
 
 
@@ -186,7 +189,7 @@ class TestCapacityPattern:
         caps = balanced_capacities(7, 3)
         inst = make_instance(rng.uniform(-3, 3, (5, 2)), [2, 2, 2, 1, 0], k=3)
         centers = CenterSet(positions=rng.uniform(-3, 3, (3, 2)), capacities=caps)
-        asg, _ = min_cost_balanced_assignment(inst, centers)
+        asg = solve_balanced(inst, centers).assignment
         assert asg.per_center_population(3).tolist() == [2, 2, 3]
 
 
@@ -209,6 +212,15 @@ class TestCostModel:
         row_major = model.paired_costs(points[:, None], centers[None])
         assert row_major.flags.c_contiguous
         assert full.tobytes(order="C") == row_major.tobytes()
+
+    def test_overflow_is_rejected_without_a_warning(self):
+        # an ulp of a centroid at 5e299, squared, overflowed with a
+        # RuntimeWarning on stderr before the range test raised
+        model = CostModel(diameter=1.0, scale=1e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(flow.OverflowRiskError):
+                model.paired_costs(np.array([[5e299, 0.0]]), np.array([[-5e299, 0.0]]))
 
     def test_coincident_blocks_measure_absolute_distances(self):
         inst = make_instance([(2, 3), (2, 3)], [1, 1], k=1)
@@ -290,6 +302,24 @@ class TestSolveFingerprint:
         assert self.fingerprint(sol) == digest
 
 
+RELATION_CASES = ["1000x53-cold", "1000x53-warm", "5000x7-seed1"]
+
+
+def relation_case(name):
+    """A flow instance at the sizes of the benchmark, and its warm start."""
+    if name == "5000x7-seed1":
+        inst = gaussian_instance(1, n=5_000, m=150_000, k=7)
+        return transshipment(inst, seed_centers(inst, 7, 0)), None
+    inst = gaussian_instance(0, n=1_000, m=30_000, k=53)
+    seeds = seed_centers(inst, 53, 0)
+    if name == "1000x53-cold":
+        return transshipment(inst, seeds), None
+    # the first Lloyd step: the centroids, warm from the seeds' potentials
+    first = solve_balanced(inst, seeds)
+    moved = centroid_step(inst, first.assignment)
+    return transshipment(inst, moved), first.flow_solution.demand_potentials
+
+
 class TestShiftedCosts:
     """Adding c[y] to the costs of row y and d[x] to those of column x moves
     the cost of every feasible flow, and so the optimum, by exactly
@@ -301,23 +331,9 @@ class TestShiftedCosts:
 
     SHIFT = 10**8
 
-    @staticmethod
-    def case(name):
-        if name == "5000x7-seed1":
-            inst = gaussian_instance(1, n=5_000, m=150_000, k=7)
-            return transshipment(inst, seed_centers(inst, 7, 0)), None
-        inst = gaussian_instance(0, n=1_000, m=30_000, k=53)
-        seeds = seed_centers(inst, 53, 0)
-        if name == "1000x53-cold":
-            return transshipment(inst, seeds), None
-        # the first Lloyd step: the centroids, warm from the seeds' potentials
-        first = solve_balanced(inst, seeds)
-        moved = centroid_step(inst, first.assignment)
-        return transshipment(inst, moved), first.flow_solution.demand_potentials
-
-    @pytest.mark.parametrize("name", ["1000x53-cold", "1000x53-warm", "5000x7-seed1"])
+    @pytest.mark.parametrize("name", RELATION_CASES)
     def test_shift_moves_the_optimum_exactly(self, name):
-        inst, warm = self.case(name)
+        inst, warm = relation_case(name)
         rng = np.random.default_rng(len(name))
         c = rng.integers(-self.SHIFT, self.SHIFT + 1, size=inst.n_supply)
         d = rng.integers(-self.SHIFT, self.SHIFT + 1, size=inst.n_demand)
@@ -340,6 +356,66 @@ class TestShiftedCosts:
         flow.certify(inst, back)
 
 
+class TestPermutedAndSplitRows:
+    """Two more relations that any exact solver meets, on the cases of
+    TestShiftedCosts: the optimum does not change when the supply rows are
+    permuted, or when blocks become two rows each, with their costs and
+    supplies that sum to theirs. Each solution must certify on its own
+    instance, and mapped back, on the original."""
+
+    @staticmethod
+    def solve(inst, warm):
+        sol = flow.solve_mcf(inst, warm_potentials=warm)
+        flow.certify(inst, sol)
+        return sol
+
+    @pytest.mark.parametrize("name", RELATION_CASES)
+    def test_permuted_rows_keep_the_optimum(self, name):
+        inst, warm = relation_case(name)
+        sol = self.solve(inst, warm)
+        perm = np.random.default_rng(len(name)).permutation(inst.n_supply)
+        permuted = flow.TransshipmentInstance(
+            np.asfortranarray(inst.costs[perm]), inst.supplies[perm], inst.demands
+        )
+        moved = self.solve(permuted, warm)
+        assert moved.objective == sol.objective
+        # row i of the permuted instance is row perm[i] of the original
+        u = np.empty_like(moved.supply_potentials)
+        u[perm] = moved.supply_potentials
+        flow.certify(
+            inst,
+            dataclasses.replace(moved, supply_idx=perm[moved.supply_idx], supply_potentials=u),
+        )
+
+    @pytest.mark.parametrize("name", RELATION_CASES)
+    def test_split_rows_keep_the_optimum(self, name):
+        inst, warm = relation_case(name)
+        sol = self.solve(inst, warm)
+        # every block of two or more persons gives half of them to a new
+        # row with its costs, appended after the blocks
+        n = inst.n_supply
+        big = np.flatnonzero(inst.supplies >= 2)
+        half = inst.supplies[big] // 2
+        supplies = inst.supplies.copy()
+        supplies[big] -= half
+        twin = flow.TransshipmentInstance(
+            np.asfortranarray(np.vstack([inst.costs, inst.costs[big]])),
+            np.append(supplies, half),
+            inst.demands,
+        )
+        moved = self.solve(twin, warm)
+        assert moved.objective == sol.objective
+        # merged back into their blocks, the rows certify on the original
+        flow.certify(
+            inst,
+            dataclasses.replace(
+                moved,
+                supply_idx=np.append(np.arange(n), big)[moved.supply_idx],
+                supply_potentials=moved.supply_potentials[:n],
+            ),
+        )
+
+
 class TestPinnedCounts:
     """Counts and answers at k = 53, measured when the dual sweeps began to
     keep every sweep. The objectives and rejections were the same under the
@@ -358,7 +434,7 @@ class TestPinnedCounts:
         s = res.flow_solution.stats
         assert (s.augmentations, s.reprices, s.sweeps) == (951, 940, 24)
         assert (s.excess_before, s.excess_after) == (9_173, 3_858)
-        assert res.objective_scaled == 640_369_823_784
+        assert res.flow_solution.objective == 640_369_823_784
         # peeking every pair on every search read a queue minimum 2,929,564
         # times; with the table only pushes and departing witnesses read
         # one (69,704; 63,824 since every sweep is kept)

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from districtor import dataio, lloyd
+from districtor.assignment import ScaledCostPolicy, cost_model_for
 from districtor.cli import (
     EXIT_INPUT,
     EXIT_NOT_CONVERGED,
@@ -411,6 +417,27 @@ class TestValidate:
         assert re.search(r"^FAIL trace.csv matches the run: \S", out, re.M)
         assert "validation failed" in out
 
+    def test_rising_scaled_trace_fails(self, solved_dir, capsys):
+        """The last cost_scaled rises above the one before it, and its cost
+        is still cost_scaled x units_per_cost, so the monotonicity line is
+        the only one that can catch it."""
+        summary = dataio.read_summary_json(solved_dir / "summary.json")
+        inst = dataio.read_blocks(solved_dir / "blocks.csv", k=summary["k"])
+        unit = cost_model_for(inst, ScaledCostPolicy(scale=summary["scale"])).units_per_cost
+        trace = solved_dir / "trace.csv"
+        lines = trace.read_text().splitlines()
+        table = [line.split(",") for line in lines[1:]]
+        assert len(table) > 2
+        risen = int(table[-2][2]) + 1
+        assert risen > int(table[-1][2])
+        table[-1][1:3] = [repr(risen * unit), str(risen)]
+        trace.write_text("\n".join([lines[0], *map(",".join, table)]) + "\n", encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "FAIL trace cost nonincreasing (scaled ints)" in out
+        assert "PASS trace.csv matches the run" in out
+        assert out.count("FAIL") == 1
+
 
 class TestStats:
     def test_prints_table_row(self, solved_dir, capsys):
@@ -657,6 +684,14 @@ ADVERSARIAL_OK = {
         [(0.0, 0.0, 4), (1e12, 0.0, 4), (0.0, 1e12, 4), (1e12, 1e12, 4)], 2
     ),
     "gaussian-at-1e150": (scaled_gaussian(1e150), 3),
+    # the frame's pad of 0.05 is lost at this magnitude: the cells raised
+    # a "degenerate frame" ModelError traceback
+    "single-block-at-1e150": ([(-1e150, -1e150, 2)], 1),
+    # the centroid rounds by a float of the coordinates, 0.002 here, more
+    # than validate's centroid tolerance of 6.3e-5 allowed
+    "coincident-blocks-at-1.25e13": (
+        [(12497598638792.104, 12497598638792.104, p) for p in (14234, 2, 14234, 0)], 1
+    ),
 }
 
 ADVERSARIAL_REJECTED = {
@@ -680,6 +715,14 @@ ADVERSARIAL_REJECTED = {
         [(0.0, 0.0, 3), (1.0, 0.0, 4), (0.0, 1.0, 5)], ["--k", "2", "--scale", "1e300"],
         "scaled costs exceed the exact integer range",
     ),
+    # ScaledCostPolicy's own message
+    **{
+        f"scale-{scale}": (
+            [(0.0, 0.0, 3), (1.0, 0.0, 4)], ["--k", "2", "--scale", scale],
+            f"scale must be positive and finite, got {float(scale)}",
+        )
+        for scale in ("-5", "0", "nan", "inf")
+    },
     # the squared diameter overflows or underflows: these ended in a
     # traceback from center seeding (1e160, 1e300) or in a false message
     **{
@@ -732,3 +775,43 @@ class TestAdversarialInputs:
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+
+@st.composite
+def block_files(draw):
+    """A planar block file of 1-12 rows and a k of 1-4: the rows sit on at
+    most 6 points, so coincident blocks are common; the coordinates tie
+    often and span magnitudes from 1e-300 to 1e300; zero populations are
+    common."""
+    scale = draw(st.sampled_from([1e-300, 1e-160, 1e-12, 1.0, 1e6, 1e150, 1e160, 1e300]))
+    coord = st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(points), st.integers(0, 3) | st.integers(0, 10**6)),
+        min_size=1, max_size=12,
+    ))
+    return [(x * scale, y * scale, p) for (x, y), p in rows], draw(st.integers(1, 4))
+
+
+@settings(deadline=None, max_examples=30)
+@given(case=block_files())
+def test_any_block_file_ends_validated_or_in_one_named_error(case):
+    """Through cli.main, a block file ends in exit 0 or 2 with a result set
+    that validates, or in exit 1 with a single error line; a traceback
+    fails the test by propagating out of main."""
+    rows, k = case
+    with tempfile.TemporaryDirectory() as tmp:
+        blocks, out = Path(tmp) / "b.csv", Path(tmp) / "out"
+        blocks.write_text(block_rows(rows), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["solve", "--input", str(blocks), "--k", str(k), "--seed", "0",
+                         "--out", str(out)])
+            checked = main(["validate", "--dir", str(out)]) if code != EXIT_INPUT else None
+        if code == EXIT_INPUT:
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")
+            assert not out.exists()
+        else:
+            assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+            assert checked == EXIT_OK, err.getvalue()

@@ -526,7 +526,7 @@ class TestWriteOutputs:
             assignment=res.assignment,
             weights=np.asarray(res.weights),
             trace=RunTrace(
-                iterations=(IterationRecord(0, 0.0, res.objective_scaled, 0.0),),
+                iterations=(IterationRecord(0, 0.0, res.flow_solution.objective, 0.0),),
                 converged=True,
                 seed=0,
             ),

@@ -8,8 +8,8 @@ from districtor.geometry import (
     compute_cells,
     default_frame,
     diagram_stats,
-    point_in_cell,
 )
+from tests.oracle import point_in_cell
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -195,6 +195,11 @@ class TestDefaultFrame:
         assert x1 == pytest.approx(10.5)
         assert y0 == pytest.approx(-0.2)
         assert y1 == pytest.approx(4.2)
+
+    def test_pad_below_the_resolution_still_widens(self):
+        # 0.05 is lost next to 1e150; each side still moves out by a float
+        x0, y0, x1, y1 = default_frame(np.array([[1e150, -1e150]]))
+        assert x0 < 1e150 < x1 and y0 < -1e150 < y1
 
     def test_degenerate_extent(self):
         pts = np.array([[1.0, 2.0], [1.0, 2.0]])

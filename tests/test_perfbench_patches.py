@@ -1,20 +1,28 @@
-"""The traced benchmark run wraps districtor where each layer is looked up
-(``perfbench/layers.py``, ``PATCHES``). A renamed or deleted attribute
-would only break ``perfbench/run.py --trace 1``; this test fails instead.
+"""The benchmark reaches into districtor in two places: the traced run wraps
+each layer where it is looked up (``perfbench/layers.py``, ``PATCHES``), and
+the workloads import and call the library (``perfbench/workloads.py``). A
+renamed or deleted name would only break ``perfbench/run.py``; these tests
+fail instead.
 """
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
-PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 def test_every_patch_site_resolves_to_a_callable():
-    sys.path.insert(0, PERFBENCH)
-    try:
-        import layers
-    finally:
-        sys.path.remove(PERFBENCH)
+    layers = perfbench_module("layers")
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for owner, attr, _, _ in layers.PATCHES
@@ -22,3 +30,22 @@ def test_every_patch_site_resolves_to_a_callable():
     ]
     assert layers.PATCHES
     assert not missing, f"patched but not defined: {missing}"
+
+
+def test_workloads_import_and_every_module_attribute_resolves():
+    # the import checks the from-imports; the walk checks uses such as lloyd.run
+    workloads = perfbench_module("workloads")
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and getattr(getattr(workloads, node.value.id, None), "__name__", "").startswith(
+            "districtor."
+        )
+    }
+    assert ("lloyd", "run") in used
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(used)
+               if not hasattr(getattr(workloads, mod), attr)]
+    assert not missing, f"used but not defined: {missing}"
