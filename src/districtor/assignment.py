@@ -134,6 +134,8 @@ def solve_balanced(
     )
 
 
+# Kept, with consistency_tolerance, only because perfbench/ imports them and
+# wraps cli's binding as a span; the program checks with flow.certify.
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Positive-flow pairs that violate the power-region condition."""

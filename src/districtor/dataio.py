@@ -292,7 +292,7 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
             )
     paths["trace"] = trace_path
 
-    centroids = asg.centroids(inst, centers.k)
+    centroids = asg.centroids(inst, populations)
     summary = {
         "instance": inst.name,
         "k": centers.k,

@@ -38,13 +38,13 @@ Specialized to instances with many supply nodes and few demand nodes
    arcs from the arcs that achieved each distance. An augmentation costs
    O(k) bitset steps plus O(k log n) heap work per moved supply node,
    instead of a scan of all supply nodes.
-3. Read-out. The greedy start is kept as an array of demand nodes; the
-   repair's changes are written back at the supply nodes it moved, which
-   leaves the whole-node entries in supply order, and the entries of the
-   few split nodes are merged in at their supply positions. No entry is
-   sorted.
+3. Read-out. The repair writes its changes into the greedy start's array
+   of demand nodes, which keeps the whole-node entries in supply order; the
+   entries of the few split nodes are merged in at their supply positions.
+   No entry is sorted.
 4. Certification. :func:`certify` re-checks conservation, the objective,
-   dual feasibility and complementary slackness of the result.
+   dual feasibility and complementary slackness. ``solve_balanced`` runs it
+   on every solve, and ``cli.cmd_validate`` on a result set read back.
 
 All arithmetic is on Python integers or int64 arrays, so the optimality
 certificate holds exactly. :class:`SolveStats` counts the work of each
@@ -242,14 +242,22 @@ def certify(inst: TransshipmentInstance, sol: FlowSolution) -> None:
             f"certificate: objective mismatch, reported {sol.objective}, "
             f"recomputed {objective}"
         )
-    u = sol.supply_potentials
-    v = sol.demand_potentials
-    C = inst.costs
-    for x in range(inst.n_demand):
-        if np.any(u > C[:, x] - v[x]):
-            raise FlowError("certificate: dual infeasible")
+    u, v = sol.supply_potentials, sol.demand_potentials
+    if np.any(u > supply_potentials(inst.costs, v)):
+        raise FlowError("certificate: dual infeasible")
     if not np.array_equal(arc_costs - v[sol.demand_idx], u[sol.supply_idx]):
         raise FlowError("certificate: complementary slackness violated")
+
+
+def supply_potentials(costs: np.ndarray, demand_potentials: np.ndarray) -> np.ndarray:
+    """Each supply row's least reduced cost, min over x of costs[y, x] -
+    demand_potentials[x]: the supply potentials that make the dual feasible
+    and tight at each row's cheapest arcs. One column at a time: a min along
+    the short axis of the costs is slower."""
+    z = costs[:, 0] - demand_potentials[0]
+    for x in range(1, demand_potentials.shape[0]):
+        np.minimum(z, costs[:, x] - demand_potentials[x], out=z)
+    return z
 
 
 def _greedy(C: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -489,16 +497,14 @@ class _Solver:
     searches read the bitsets, never the table, to find tight arcs.
 
     The flow is one record per supply node y: base[y], the demand node
-    that holds all of supply[y], or -1 when y has no supply or is split;
+    that holds all of supplies[y], or -1 when y has no supply or is split;
     and for a split node, split[y], its positive flows by demand node, two
-    or more. _move is the only writer of the record.
+    or more. base is the greedy start's array; _move alone writes the record.
     """
 
     def __init__(self, inst: TransshipmentInstance, warm_potentials: np.ndarray | None):
-        self.inst = inst
         self.C = inst.costs
         n, k = self.C.shape
-        self.n = n
         self.k = k
         if warm_potentials is None:
             v0 = np.zeros(k, dtype=np.int64)
@@ -518,19 +524,13 @@ class _Solver:
                 "lower the cost scaling"
             )
 
-        v0, base_np, received_np, self.sweep_stats = _dual_sweeps(
+        v0, self.base, received_np, self.sweep_stats = _dual_sweeps(
             self.C, inst.supplies, inst.demands, v0
         )
         self.v = v0.tolist()
         self.demands: list[int] = inst.demands.tolist()
-
-        # The greedy start is kept as an array too; solution() reads base
-        # only at the touched blocks, those the repair moved flow of.
-        self.start_base = base_np
-        self.base: list[int] = base_np.tolist()
+        self.supplies = inst.supplies
         self.split: dict[int, dict[int, int]] = {}
-        self.supply: list[int] = inst.supplies.tolist()
-        self.touched: set[int] = set()
         self.received: list[int] = received_np.tolist()
         self.augmentations = 0
         self.reprices = 0
@@ -556,7 +556,7 @@ class _Solver:
         self.joined: list[list[int]] = [[] for _ in range(k)]
         cols = np.arange(k)
         for a in range(k):
-            ids = np.flatnonzero(base_np == a)
+            ids = np.flatnonzero(self.base == a)
             self.start.append(ids)
             if ids.size == 0:
                 self.rel.append([None] * k)
@@ -587,8 +587,8 @@ class _Solver:
     # -- flow bookkeeping -------------------------------------------------
 
     def flow_at(self, y: int, x: int) -> int:
-        if self.base[y] == x:
-            return self.supply[y]
+        if self.base.item(y) == x:
+            return self.supplies.item(y)
         flows = self.split.get(y)
         return flows.get(x, 0) if flows else 0
 
@@ -643,8 +643,7 @@ class _Solver:
     def _move(self, y: int, a: int, b: int, q: int) -> None:
         """Move q units of y's flow from a to b. y leaves a when no flow is
         left there, and joins b when it had none there."""
-        self.touched.add(y)
-        flows = self.split.pop(y, None) or {self.base[y]: self.supply[y]}
+        flows = self.split.pop(y, None) or {self.base.item(y): self.supplies.item(y)}
         rem = flows.pop(a, 0) - q
         if rem < 0:
             raise FlowError("internal: negative flow")
@@ -899,20 +898,13 @@ class _Solver:
     def solution(self) -> FlowSolution:
         """The flow as entries in (supply, demand) order, with potentials.
 
-        The greedy start is patched at the touched blocks; the whole-block
-        entries, each carrying its block's supply, are then in supply order,
-        and the entries of the few split blocks are merged in at their
-        supply positions.
+        The whole-block entries of base, each carrying its block's supply,
+        are in supply order, and the entries of the few split blocks are
+        merged in at their supply positions.
         """
-        base = self.start_base
-        if self.touched:
-            ys = list(self.touched)
-            base = base.copy()
-            base[ys] = [self.base[y] for y in ys]
-        whole = np.flatnonzero(base >= 0)
-        supply_idx = whole
-        demand_idx = base[whole]
-        amounts = self.inst.supplies[whole]
+        supply_idx = whole = np.flatnonzero(self.base >= 0)
+        demand_idx = self.base[whole]
+        amounts = self.supplies[whole]
         if self.split:
             parts = np.array(
                 [
@@ -931,12 +923,7 @@ class _Solver:
         # by a constant preserves feasibility and slackness.
         vmin = min(self.v)
         v = np.array([x - vmin for x in self.v], dtype=np.int64)
-        # one column at a time: a min along the short axis of C is slower
-        C = self.C
-        z = C[:, 0] - v[0]
-        for x in range(1, self.k):
-            np.minimum(z, C[:, x] - v[x], out=z)
-        objective = int(np.dot(amounts, C[supply_idx, demand_idx]))
+        objective = int(np.dot(amounts, self.C[supply_idx, demand_idx]))
         stats = dataclasses.replace(
             self.sweep_stats,
             augmentations=self.augmentations,
@@ -951,7 +938,7 @@ class _Solver:
             supply_idx=supply_idx,
             demand_idx=demand_idx,
             amounts=amounts,
-            supply_potentials=z,
+            supply_potentials=supply_potentials(self.C, v),
             demand_potentials=v,
             objective=objective,
             stats=stats,

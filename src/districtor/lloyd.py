@@ -101,8 +101,8 @@ def centroid_step(inst: Instance, asg: BalancedAssignment) -> CenterSet:
     Capacities are the assignment totals: the balanced capacities on a
     certified assignment. ``CenterSet`` rejects a center with none.
     """
-    k = int(asg.center_indices.max()) + 1
-    return CenterSet(positions=asg.centroids(inst, k), capacities=asg.per_center_population(k))
+    totals = asg.per_center_population(int(asg.center_indices.max()) + 1)
+    return CenterSet(positions=asg.centroids(inst, totals), capacities=totals)
 
 
 def _guarded_positions(

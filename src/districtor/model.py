@@ -173,21 +173,23 @@ class BalancedAssignment:
         np.add.at(out, self.center_indices, self.persons)
         return out
 
+    # only perfbench/workloads.py calls it; the program checks with flow.certify
     def per_block_assigned(self, n_blocks: int) -> np.ndarray:
         out = np.zeros(n_blocks, dtype=np.int64)
         np.add.at(out, self.block_indices, self.persons)
         return out
 
-    def centroids(self, inst: Instance, k: int) -> np.ndarray:
-        """(k, 2) flow-weighted mean location of each center's residents; NaN
-        for a center with none."""
-        counts = self.per_center_population(k).astype(np.float64)
+    def centroids(self, inst: Instance, totals: np.ndarray) -> np.ndarray:
+        """(k, 2) flow-weighted mean location of each center's residents, given
+        their totals, ``per_center_population(k)``; NaN for a center with none."""
+        counts = totals.astype(np.float64)
         counts[counts == 0] = np.nan
         locs = inst.locations()[self.block_indices]
         w = self.persons.astype(np.float64)
         # bincount adds in entry order, as a sequential sum would
         sums = np.column_stack(
-            [np.bincount(self.center_indices, weights=locs[:, i] * w, minlength=k) for i in (0, 1)]
+            [np.bincount(self.center_indices, weights=locs[:, i] * w, minlength=len(totals))
+             for i in (0, 1)]
         )
         return sums / counts[:, None]
 

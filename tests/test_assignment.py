@@ -307,8 +307,9 @@ RELATION_CASES = ["1000x53-cold", "1000x53-warm", "5000x7-seed1"]
 
 def relation_case(name):
     """A flow instance at the sizes of the benchmark, and its warm start."""
-    if name == "5000x7-seed1":
-        inst = gaussian_instance(1, n=5_000, m=150_000, k=7)
+    if name in ("5000x7-seed1", "100000x7-seed1"):
+        n, m = (5_000, 150_000) if name == "5000x7-seed1" else (100_000, 4_779_736)
+        inst = gaussian_instance(1, n=n, m=m, k=7)
         return transshipment(inst, seed_centers(inst, 7, 0)), None
     inst = gaussian_instance(0, n=1_000, m=30_000, k=53)
     seeds = seed_centers(inst, 53, 0)
@@ -327,11 +328,12 @@ class TestShiftedCosts:
     and the repair onto another path, so this checks the answer by a second
     route at the sizes of the benchmark: the shifted solution, its
     potentials mapped back as u - c and v - d, must certify on the original
-    instance. Shifts of up to 10**8 keep the costs inside both guards."""
+    instance. Shifts of up to 10**8 keep the costs inside both guards. The
+    last case has the size of the statewide benchmark run."""
 
     SHIFT = 10**8
 
-    @pytest.mark.parametrize("name", RELATION_CASES)
+    @pytest.mark.parametrize("name", [*RELATION_CASES, "100000x7-seed1"])
     def test_shift_moves_the_optimum_exactly(self, name):
         inst, warm = relation_case(name)
         rng = np.random.default_rng(len(name))

@@ -149,6 +149,14 @@ def _set_summary(key, value):
     return edit
 
 
+def cost_unit(out: Path) -> float:
+    """The original squared-distance units of one integer cost unit of a
+    result set."""
+    summary = dataio.read_summary_json(out / "summary.json")
+    inst = dataio.read_blocks(out / "blocks.csv", k=summary["k"])
+    return cost_model_for(inst, ScaledCostPolicy(scale=summary["scale"])).units_per_cost
+
+
 def _plus_five(value):
     return str(int(value) + 5)
 
@@ -218,7 +226,7 @@ class TestValidate:
         centers.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
         out = capsys.readouterr().out
-        assert "FAIL power consistency" in out
+        assert "FAIL optimality certificate (exact)" in out
 
     def test_missing_files(self, tmp_path):
         assert main(["validate", "--dir", str(tmp_path / "nothing")]) == EXIT_INPUT
@@ -341,9 +349,76 @@ class TestValidate:
         asg.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n", encoding="utf-8")
         assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
         out = capsys.readouterr().out
-        assert "FAIL conservation per block" in out
-        assert "PASS balance per center (exact)" in out
+        assert (
+            "FAIL optimality certificate (exact): certificate: supply conservation violated"
+            in out
+        )
 
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_one_cost_unit_on_a_split_center_fails(self, solved_dir, capsys, step):
+        """A split block is tight at both of its centers, so one cost unit
+        on either weight breaks the certificate. The float power check that
+        the certificate replaced allowed two units and passed it."""
+        rows = [line.split(",") for line in
+                (solved_dir / "assignment.csv").read_text().splitlines()[1:]]
+        split = next(r for r, nxt in zip(rows, rows[1:]) if r[0] == nxt[0])
+        center = int(split[1])
+        unit = cost_unit(solved_dir)
+        path = solved_dir / "centers.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[center + 1].split(",")
+        fields[3] = repr((round(float(fields[3]) / unit) + step) * unit)
+        lines[center + 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert re.search(r"^FAIL optimality certificate \(exact\): certificate: ", out, re.M)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weight_beyond_the_potential_bound_fails_quietly(self, solved_dir, capsys):
+        """A weight of 1e300 is about 10**306 cost units, beyond int64: it
+        fails before any cast, which would print a numpy RuntimeWarning."""
+        path = solved_dir / "centers.csv"
+        path.write_text(_set_center_field(3, lambda v: "1e300")(path.read_text()),
+                        encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert ("FAIL optimality certificate (exact): a weight is not a whole number of "
+                "cost units of magnitude at most 2**61") in captured.out
+
+    @pytest.mark.parametrize("value", [None, 1.0, "7", True], ids=["missing", "float", "string",
+                                                                  "bool"])
+    def test_final_cost_scaled_missing_or_not_an_int_is_input_error(
+        self, solved_dir, capsys, value
+    ):
+        path = solved_dir / "summary.json"
+        summary = json.loads(path.read_text())
+        if value is None:
+            del summary["final_cost_scaled"]
+        else:
+            summary["final_cost_scaled"] = value
+        path.write_text(json.dumps(summary), encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: summary.json: ") and "final_cost_scaled" in err
+
+    def test_last_trace_row_off_the_final_cost_fails(self, solved_dir, capsys):
+        """One cost unit less on the last row keeps the trace nonincreasing
+        and its cost cost_scaled x units_per_cost; only its match with
+        summary.json's final_cost_scaled catches it."""
+        unit = cost_unit(solved_dir)
+        trace = solved_dir / "trace.csv"
+        lines = trace.read_text().splitlines()
+        last = lines[-1].split(",")
+        lower = int(last[2]) - 1
+        last[1:3] = [repr(lower * unit), str(lower)]
+        lines[-1] = ",".join(last)
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "FAIL trace.csv matches the run: the last cost_scaled is not final_cost_scaled" in out
+        assert out.count("FAIL") == 1
 
     @pytest.mark.parametrize("edit", ["swap-blocks", "unknown-id", "zero-population-block"])
     def test_rows_out_of_write_order_fail_structure(self, solved_dir, capsys, edit):
@@ -418,19 +493,17 @@ class TestValidate:
         assert "validation failed" in out
 
     def test_rising_scaled_trace_fails(self, solved_dir, capsys):
-        """The last cost_scaled rises above the one before it, and its cost
-        is still cost_scaled x units_per_cost, so the monotonicity line is
-        the only one that can catch it."""
-        summary = dataio.read_summary_json(solved_dir / "summary.json")
-        inst = dataio.read_blocks(solved_dir / "blocks.csv", k=summary["k"])
-        unit = cost_model_for(inst, ScaledCostPolicy(scale=summary["scale"])).units_per_cost
+        """The second-to-last cost_scaled rises above the one before it, and
+        its cost is still cost_scaled x units_per_cost; the last stays the
+        summary's final_cost_scaled. So the monotonicity line is the only one
+        that can catch it."""
+        unit = cost_unit(solved_dir)
         trace = solved_dir / "trace.csv"
         lines = trace.read_text().splitlines()
         table = [line.split(",") for line in lines[1:]]
         assert len(table) > 2
-        risen = int(table[-2][2]) + 1
-        assert risen > int(table[-1][2])
-        table[-1][1:3] = [repr(risen * unit), str(risen)]
+        risen = int(table[-3][2]) + 1
+        table[-2][1:3] = [repr(risen * unit), str(risen)]
         trace.write_text("\n".join([lines[0], *map(",".join, table)]) + "\n", encoding="utf-8")
         assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
         out = capsys.readouterr().out
@@ -532,6 +605,24 @@ class TestSolveThenValidateCorpus:
         assert all(r.split(",")[1] == "0" for r in rows)
         assert {r.split(",")[0] for r in rows} == {"a", "c"}
         assert main(["validate", "--dir", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "write, k",
+        [
+            (write_gauss_instance, 1),
+            # diameter 0: cost_model_for takes it as 1.0
+            (lambda path: path.write_text(block_rows([(2.5, -1.0, p) for p in (4, 0, 7, 3)])), 1),
+        ],
+        ids=["gauss-k1", "coincident-blocks"],
+    )
+    def test_degenerate_result_sets_certify(self, tmp_path, capsys, write, k):
+        blocks = tmp_path / "b.csv"
+        write(blocks)
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(blocks), "--k", str(k), "--seed", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert main(["validate", "--dir", str(out)]) == EXIT_OK
+        assert "PASS optimality certificate (exact): objective " in capsys.readouterr().out
 
     def test_custom_scale_and_threshold(self, tmp_path):
         blocks = tmp_path / "b.csv"

@@ -165,9 +165,10 @@ class _CheckedSolver(flow._Solver):
         C[y, b] - C[y, a] over the members y of a, by brute force, and
         wit[a][b] is a member that achieves it."""
         self.checks += 1
-        n, k, C = self.n, self.k, self.C
+        C = self.C
+        n, k = C.shape
         flows = np.array([[self.flow_at(y, x) for x in range(k)] for y in range(n)])
-        assert flows.sum(axis=1).tolist() == self.inst.supplies.tolist()
+        assert flows.sum(axis=1).tolist() == self.supplies.tolist()
         assert [x >= 0 for x in self.base] == (np.count_nonzero(flows, axis=1) == 1).tolist()
         for y, amounts in self.split.items():
             assert self.base[y] == -1

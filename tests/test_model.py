@@ -276,7 +276,7 @@ class TestAssignmentEntries:
             )
             counts = asg.per_center_population(k).astype(np.float64)
             counts[counts == 0] = np.nan
-            got = asg.centroids(inst, k)
+            got = asg.centroids(inst, asg.per_center_population(k))
             assert got.tobytes() == (sums / counts[:, None]).tobytes()
             if k > 1:
                 assert np.isnan(got[k - 1]).all()
