@@ -82,6 +82,7 @@ def cmd_solve(args) -> int:
     try:
         policy = ScaledCostPolicy(scale=args.scale)
         inst = dataio.read_blocks(args.input, k=args.k, lonlat=args.lonlat)
+        cost_model_for(inst, policy)  # its domain rule, before any solve
     except (AssignmentError, DataError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -157,16 +158,18 @@ _INPUT_ERRORS = (ValueError, TypeError, OverflowError, OSError)
 
 
 def _load_diagram(out_dir: Path):
-    """The summary, blocks, centers and weights of a result set, plus the
-    per-center populations that centers.csv reports."""
+    """The summary, blocks, centers and weights of a result set, the
+    per-center populations that centers.csv reports, and the cost model of
+    its scale, which solve would accept."""
     summary = dataio.read_summary_json(out_dir / "summary.json")
     for key in ("k", "m", "scale", "threshold", "final_cost", "final_cost_scaled", "converged"):
         if key not in summary:
             raise DataError(f"summary.json: missing key {key!r}")
     inst = dataio.read_blocks(out_dir / "blocks.csv", k=int(summary["k"]))
+    model = cost_model_for(inst, ScaledCostPolicy(scale=float(summary["scale"])))
     positions, weights, capacities, populations = dataio.read_centers_csv(out_dir / "centers.csv")
     centers = CenterSet(positions=positions, capacities=capacities)
-    return summary, inst, centers, weights, populations
+    return summary, inst, centers, weights, populations, model
 
 
 def _cell_mismatch(entry: dict, cell: geometry.ConvexCell, weight: float, ring_tol: float) -> str:
@@ -253,9 +256,8 @@ def _certificate_failure(inst, centers, asg, weights, model, objective: int) -> 
 def cmd_validate(args) -> int:
     out_dir = Path(args.dir)
     try:
-        summary, inst, centers, weights, populations = _load_diagram(out_dir)
+        summary, inst, centers, weights, populations, model = _load_diagram(out_dir)
         k = inst.k
-        policy = ScaledCostPolicy(scale=float(summary["scale"]))
         threshold = float(summary["threshold"])
         final_cost = float(summary["final_cost"])
         objective = summary["final_cost_scaled"]
@@ -287,7 +289,9 @@ def cmd_validate(args) -> int:
     asg = BalancedAssignment(
         block_indices=block_indices, center_indices=asg_centers, persons=asg_persons
     )
-    model = cost_model_for(inst, policy)
+    # asg holds copies of the file's columns; the ids, a str per row, are
+    # read only for the row order
+    del asg_ids, asg_centers, asg_persons
     failure = _certificate_failure(inst, centers, asg, weights, model, objective)
     certified = report.check(
         "optimality certificate (exact)", not failure, failure or f"objective {objective}"
@@ -303,7 +307,7 @@ def cmd_validate(args) -> int:
     # coordinate per entry; for blocks far from the origin for their
     # spread, that exceeds the rounding of the costs.
     rounding = 4.0 * (len(asg.persons) + 1) * float(np.spacing(np.abs(inst.locations()).max()))
-    centroid_tol = max(threshold, 2.0 * model.diameter / math.sqrt(policy.scale), rounding)
+    centroid_tol = max(threshold, 2.0 * model.diameter / math.sqrt(model.scale), rounding)
     drift = np.sqrt(((centroids - centers.positions) ** 2).sum(axis=1))
     report.check(
         "centroid condition",
@@ -355,7 +359,7 @@ def cmd_validate(args) -> int:
 def cmd_stats(args) -> int:
     out_dir = Path(args.dir)
     try:
-        summary, inst, centers, weights, _ = _load_diagram(out_dir)
+        summary, inst, centers, weights, *_ = _load_diagram(out_dir)
         final_cost = float(summary["final_cost"])
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,7 +41,9 @@ Specialized to instances with many supply nodes and few demand nodes
 3. Read-out. The repair writes its changes into the greedy start's array
    of demand nodes, which keeps the whole-node entries in supply order; the
    entries of the few split nodes are merged in at their supply positions.
-   No entry is sorted.
+   No entry is sorted. The supply potentials are read off the entries'
+   tight arcs by one gather; only the rows with no supply take a minimum
+   over the k columns.
 4. Certification. :func:`certify` re-checks conservation, the objective,
    dual feasibility and complementary slackness. ``solve_balanced`` runs it
    on every solve, and ``cli.cmd_validate`` on a result set read back.
@@ -249,14 +251,17 @@ def certify(inst: TransshipmentInstance, sol: FlowSolution) -> None:
         raise FlowError("certificate: complementary slackness violated")
 
 
-def supply_potentials(costs: np.ndarray, demand_potentials: np.ndarray) -> np.ndarray:
+def supply_potentials(
+    costs: np.ndarray, demand_potentials: np.ndarray, rows: np.ndarray | slice = slice(None)
+) -> np.ndarray:
     """Each supply row's least reduced cost, min over x of costs[y, x] -
     demand_potentials[x]: the supply potentials that make the dual feasible
-    and tight at each row's cheapest arcs. One column at a time: a min along
-    the short axis of the costs is slower."""
-    z = costs[:, 0] - demand_potentials[0]
+    and tight at each row's cheapest arcs; of the given rows only, by
+    default all. One column at a time: a min along the short axis of the
+    costs is slower."""
+    z = costs[rows, 0] - demand_potentials[0]
     for x in range(1, demand_potentials.shape[0]):
-        np.minimum(z, costs[:, x] - demand_potentials[x], out=z)
+        np.minimum(z, costs[rows, x] - demand_potentials[x], out=z)
     return z
 
 
@@ -889,6 +894,10 @@ class _Solver:
                     break
                 self._push(path)
             if self.received == self.demands:
+                # The flow is final. Free the members and pair queues, up to
+                # an int64 per supply node and pair, before the read-out.
+                self.start.clear()
+                self.queues.clear()
                 return
             guard -= 1
             if guard < 0:
@@ -923,7 +932,17 @@ class _Solver:
         # by a constant preserves feasibility and slackness.
         vmin = min(self.v)
         v = np.array([x - vmin for x in self.v], dtype=np.int64)
-        objective = int(np.dot(amounts, self.C[supply_idx, demand_idx]))
+        reduced = self.C[supply_idx, demand_idx]
+        objective = int(np.dot(amounts, reduced))
+        # Every flow arc is tight, so a row with supply has its potential on
+        # its own entries, one gather instead of a pass over the k columns;
+        # certify's one full pass checks that no arc of the row is cheaper.
+        # A row without supply has no entry and takes its least reduced cost.
+        u = np.empty(self.C.shape[0], dtype=np.int64)
+        u[supply_idx] = np.subtract(reduced, v[demand_idx], out=reduced)
+        idle = np.flatnonzero(self.supplies == 0)
+        if idle.size:
+            u[idle] = supply_potentials(self.C, v, idle)
         stats = dataclasses.replace(
             self.sweep_stats,
             augmentations=self.augmentations,
@@ -938,7 +957,7 @@ class _Solver:
             supply_idx=supply_idx,
             demand_idx=demand_idx,
             amounts=amounts,
-            supply_potentials=supply_potentials(self.C, v),
+            supply_potentials=u,
             demand_potentials=v,
             objective=objective,
             stats=stats,

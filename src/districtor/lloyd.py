@@ -148,7 +148,6 @@ def run(
     records: list[IterationRecord] = []
     warm: np.ndarray | None = None
     converged = False
-    final: tuple[CenterSet, ScaledSolveResult] | None = None
 
     for it in range(cfg.max_iterations):
         res = solve_balanced(inst, centers, policy, warm_potentials=warm)
@@ -165,9 +164,10 @@ def run(
                 rejected=int(np.any(new_positions != candidate.positions, axis=1).sum()),
             )
         )
-        final = (centers, res)
         if disp <= threshold:
             converged = True
+            break
+        if it + 1 == cfg.max_iterations:
             break
         centers = CenterSet(positions=new_positions, capacities=centers.capacities)
         # The first move carries the seeded centers furthest, so the seeds'
@@ -176,13 +176,14 @@ def run(
         # sweeps, against 340 after 24 from the seeds' potentials (on its
         # 100k-block run, 66 after 5 against 17 after 6).
         warm = res.flow_solution.demand_potentials if it else None
+        # Only the centers and the warm potentials carry over: the next
+        # solve's cost matrix is built while nothing else of this one lives.
+        del res, candidate
 
-    assert final is not None
     trace = RunTrace(iterations=tuple(records), converged=converged, seed=cfg.seed)
-    f_centers, f_res = final
     return RunResult(
-        centers=f_centers,
-        assignment=f_res.assignment,
-        weights=f_res.weights,
+        centers=centers,
+        assignment=res.assignment,
+        weights=res.weights,
         trace=trace,
     )

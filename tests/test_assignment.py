@@ -8,6 +8,7 @@ import pytest
 
 from districtor import flow
 from districtor.assignment import (
+    _BLOCK_ENTRIES,
     AssignmentError,
     CostModel,
     ScaledCostPolicy,
@@ -212,6 +213,42 @@ class TestCostModel:
         row_major = model.paired_costs(points[:, None], centers[None])
         assert row_major.flags.c_contiguous
         assert full.tobytes(order="C") == row_major.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 7, 53])
+    def test_int_costs_in_row_blocks_have_the_bits_of_paired_costs(self, rng, k):
+        rows = _BLOCK_ENTRIES // k
+        n = 3 * rows + rows // 3  # three full blocks of rows and a partial one
+        model = CostModel(diameter=41.3, scale=1e9)
+        points = rng.uniform(-50.0, 50.0, (n, 2))
+        centers = rng.uniform(-60.0, 60.0, (k, 2))
+        full = model.int_costs(points, centers)
+        assert full.shape == (n, k) and full.flags.f_contiguous
+        row_major = model.paired_costs(points[:, None], centers[None])
+        assert full.tobytes(order="C") == row_major.tobytes()
+
+    def test_overflow_in_the_last_block_alone_is_rejected(self, rng):
+        k = 7
+        n = 3 * (_BLOCK_ENTRIES // k) + 5
+        model = CostModel(diameter=1.0, scale=1e9)
+        points = rng.uniform(-1.0, 1.0, (n, 2))
+        points[-1] = (1e30, 0.0)
+        centers = rng.uniform(-1.0, 1.0, (k, 2))
+        assert model.int_costs(points[:-1], centers).shape == (n - 1, k)
+        with pytest.raises(flow.OverflowRiskError) as blocked:
+            model.int_costs(points, centers)
+        with pytest.raises(flow.OverflowRiskError) as whole:
+            model.paired_costs(points[:, None], centers[None])
+        assert str(blocked.value) == str(whole.value)
+
+    @pytest.mark.parametrize(
+        "size, scale, change", [(1.0, 1e-310, "raise"), (1e-150, 1e10, "lower")]
+    )
+    def test_scale_must_leave_a_normal_cost_unit(self, size, scale, change):
+        # one cost unit is (5 * size)**2 / scale: inf, then 2.5e-309, subnormal
+        inst = make_instance([(0, 0), (3 * size, 4 * size)], [1, 1], k=1)
+        with pytest.raises(AssignmentError, match=f"not a normal float; {change} the cost"):
+            cost_model_for(inst, ScaledCostPolicy(scale=scale))
+        cost_model_for(inst, ScaledCostPolicy())  # the default scale is accepted at both
 
     def test_overflow_is_rejected_without_a_warning(self):
         # an ulp of a centroid at 5e299, squared, overflowed with a

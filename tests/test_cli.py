@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from districtor import dataio, lloyd
-from districtor.assignment import ScaledCostPolicy, cost_model_for
+from districtor.assignment import _BLOCK_ENTRIES, ScaledCostPolicy, cost_model_for
 from districtor.cli import (
     EXIT_INPUT,
     EXIT_NOT_CONVERGED,
@@ -21,6 +21,7 @@ from districtor.cli import (
     EXIT_VALIDATION,
     main,
 )
+from districtor.dataio import _WRITE_ROWS
 
 
 def write_corner_instance(path: Path):
@@ -31,7 +32,8 @@ def write_corner_instance(path: Path):
     )
 
 
-def write_gauss_instance(path: Path, seed=3, n=150, m=6000):
+def gauss_rows(seed=3, n=150, m=6000):
+    """(x, y, population) rows of two Gaussian clusters."""
     rng = np.random.default_rng(seed)
     locs = np.concatenate(
         [
@@ -40,9 +42,13 @@ def write_gauss_instance(path: Path, seed=3, n=150, m=6000):
         ]
     )
     pops = rng.multinomial(m, np.full(n, 1.0 / n))
+    return list(zip(locs[:, 0].tolist(), locs[:, 1].tolist(), pops.tolist()))
+
+
+def write_gauss_instance(path: Path, seed=3, n=150, m=6000):
     lines = ["block_id,x,y,population"]
-    for i in range(n):
-        lines.append(f"g{i:04d},{float(locs[i, 0])!r},{float(locs[i, 1])!r},{int(pops[i])}")
+    for i, (x, y, p) in enumerate(gauss_rows(seed, n, m)):
+        lines.append(f"g{i:04d},{x!r},{y!r},{p}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -255,6 +261,16 @@ class TestValidate:
         path.write_text(edit(path.read_text()), encoding="utf-8")
         assert main([command, "--dir", str(solved_dir)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_subnormal_scale_is_the_error_solve_names(self, solved_dir, capsys, command):
+        # validate failed the certificate (exit 3) and stats printed the
+        # diagram of a scale that solve now rejects
+        path = solved_dir / "summary.json"
+        path.write_text(_set_summary("scale", 1e-310)(path.read_text()), encoding="utf-8")
+        assert main([command, "--dir", str(solved_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale 1e-310 makes one cost unit inf")
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -749,6 +765,35 @@ class TestArtifactFingerprint:
         assert got == self.PINNED
 
 
+class TestArtifactFingerprintAcrossChunks:
+    """SHA-256 of the result set of a 30,000-block lon/lat solve, measured
+    before the cost matrix was built in row blocks and blocks.csv and
+    assignment.csv were written in row chunks. The 2,000 blocks above fit
+    in one of each; these span four int_costs blocks and four writer
+    chunks, each ending in a partial one, so an error at a boundary shows
+    here."""
+
+    PINNED = {
+        "blocks.csv": "806319d2c2fd1d680f9addd0519fe469234fcb7e3d5845f05b8044c37b4bc351",
+        "assignment.csv": "1ffad1b14e3ebf62c105f2a86dd6f93dbbdd3df5f7816bebc38ed670d03c1615",
+        "centers.csv": "93dc75891012e6b9024d170c7ed267e77f34868c30f9471fa625a40e12f6e139",
+        "trace.csv": "01b92f4a8d459b1c0a85eab912b59c1a7c82226cb621c77797883f14ecfa4dd4",
+        "cells.json": "9d3bbf5c24242777b5bd13031853243141a4894159c3f266a3d51574d120fb70",
+    }
+
+    def test_lonlat_solve_artifacts(self, tmp_path):
+        n, k = 30_000, 7
+        rows = _BLOCK_ENTRIES // k
+        assert 3 * rows < n and n % rows and 3 * _WRITE_ROWS < n and n % _WRITE_ROWS
+        blocks = tmp_path / "blocks.csv"
+        write_lonlat_instance(blocks, seed=11, n=n, m=900_000)
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(blocks), "--lonlat", "--k", str(k), "--seed", "4",
+                     "--out", str(out)]) == EXIT_OK
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in self.PINNED}
+        assert got == self.PINNED
+
+
 def scaled_gaussian(scale):
     """20 Gaussian blocks of 5 persons, the coordinates multiplied by scale."""
     xy = np.random.default_rng(20).normal(size=(20, 2)) * scale
@@ -805,6 +850,13 @@ ADVERSARIAL_REJECTED = {
     "huge-scale": (
         [(0.0, 0.0, 3), (1.0, 0.0, 4), (0.0, 1.0, 5)], ["--k", "2", "--scale", "1e300"],
         "scaled costs exceed the exact integer range",
+    ),
+    # one cost unit, diameter**2 / scale, is inf: solve exited 0 after a
+    # RuntimeWarning and wrote NaN weights, which validate rejected
+    "subnormal-scale": (
+        gauss_rows(), ["--k", "3", "--scale", "1e-310"],
+        "scale 1e-310 makes one cost unit inf squared distance units, which is not a "
+        "normal float; raise the cost scaling",
     ),
     # ScaledCostPolicy's own message
     **{

@@ -117,6 +117,17 @@ class TestDualCertificate:
             )
             assert primal == dual
 
+    def test_supply_potentials_are_the_row_minima(self):
+        # the read-out takes them off the flow entries, and only for rows
+        # without supply from their costs; both must equal the full pass
+        rng = np.random.default_rng(11)
+        solved = [(inst, flow.solve_mcf(inst)) for inst in map(random_instance, [rng] * 200)]
+        solved += [solved_fortran_instance(seed)[1:] for seed in range(3)]
+        assert any(0 < np.count_nonzero(i.supplies == 0) < i.n_supply for i, _ in solved)
+        for inst, sol in solved:
+            full = flow.supply_potentials(inst.costs, sol.demand_potentials)
+            assert np.array_equal(sol.supply_potentials, full)
+
     def test_certify_rejects_tampered_objective(self):
         inst = flow.TransshipmentInstance(costs=[[7]], supplies=[1], demands=[1])
         sol = flow.solve_mcf(inst)
