@@ -384,10 +384,11 @@ def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
 
 def read_assignment_columns(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The block ids, center indices and persons of an assignment.csv, in
-    file order; the indices and persons as int64 arrays."""
+    file order; the indices and persons as int64 arrays that own their data,
+    so keeping them does not keep the file's id strings alive."""
     rows = _load_rows(Path(path), lambda found: found == ASSIGNMENT_HEADER, _ASSIGNMENT_ROW)
     if rows is not None and '"' not in "".join(rows["id"]):
-        return rows["id"].tolist(), rows["c"], rows["p"]
+        return rows["id"].tolist(), rows["c"].copy(), rows["p"].copy()
     rows = _read_csv_rows(
         path, ASSIGNMENT_HEADER, lambda row: (row[0], int(row[1]), int(row[2]))
     )

@@ -27,16 +27,19 @@ Specialized to instances with many supply nodes and few demand nodes
    remaining overfill from the greedy start, augmenting along shortest
    paths in a compact demand-node graph whose arc (a, b) carries the
    cheapest relocation of one flow unit from demand node a to demand node
-   b. A k x k table holds the current minimum of every arc; it is kept
-   exact in O(k) work per supply node that joins or leaves a demand node,
-   from lazily pruned heaps of relocation costs per ordered pair. One
-   integer bitset per demand node marks its tight arcs, those of zero
-   reduced cost. The search for an augmenting path walks only the bitsets
-   and reads no table entry. When it fails, a Dijkstra by distance levels
+   b. A k x k table holds the current minimum of every arc and its
+   witness, the least-index supply node that achieves it; it is kept exact
+   in O(k) work per supply node that joins or leaves a demand node, from
+   lazily pruned heaps of relocation costs per ordered pair. One integer
+   bitset per demand node marks its tight arcs, those of zero reduced
+   cost. The search for an augmenting path walks only the bitsets and
+   reads no table entry. When it fails, a Dijkstra by distance levels
    reprices from the set it reached: it reads the rows of the nodes it
    settles, at the nodes still outside only, and derives the new tight
-   arcs from the arcs that achieved each distance. An augmentation costs
-   O(k) bitset steps plus O(k log n) heap work per moved supply node,
+   arcs from the arcs that achieved each distance. An augmentation moves
+   the witnesses of its path's arcs, in rounds until the excess, the
+   deficit or a tight arc runs out. It reads no heap itself, so it costs
+   O(k) bitset steps plus the table's upkeep per moved supply node,
    instead of a scan of all supply nodes.
 3. Read-out. The repair writes its changes into the greedy start's array
    of demand nodes, which keeps the whole-node entries in supply order; the
@@ -167,10 +170,12 @@ class SolveStats:
 
     ``excess_before`` and ``excess_after`` are the total overfill of the
     greedy start (every block at its cheapest center under the potentials)
-    before and after the dual sweeps. ``queue_reads`` counts reads of a pair
-    queue's minimum, ``stale_pops`` the queue entries dropped because their
-    block had left the pair's source center or was already counted, and
-    ``heap_pushes`` the entries pushed onto the queues' overflow heaps.
+    before and after the dual sweeps. The pair queues serve only the upkeep
+    of the relocation table: ``queue_reads`` counts reads of a queue's
+    minimum when a witness leaves its center, ``stale_pops`` the entries
+    dropped there because their block had left the pair's source center,
+    and ``heap_pushes`` the entries that joining blocks push onto the
+    queues' overflow heaps.
     ``table_reads`` counts the relocation-table entries that the searches
     read: the path search reads none, and a reprice reads the entries of
     each node it settles at the nodes outside.
@@ -501,6 +506,11 @@ class _Solver:
     _depart keep it where rel changes, and _reprice where v changes; the
     searches read the bitsets, never the table, to find tight arcs.
 
+    The pair queues serve only the table's upkeep, and so do the counts
+    queue_reads, stale_pops and heap_pushes: _front reads a queue when a
+    witness departs, and _enroll pushes a joining member's entries. _push
+    reads no queue; it moves the table's witnesses.
+
     The flow is one record per supply node y: base[y], the demand node
     that holds all of supplies[y], or -1 when y has no supply or is split;
     and for a split node, split[y], its positive flows by demand node, two
@@ -545,12 +555,13 @@ class _Solver:
         self.table_reads = 0
 
         # rel[a][b]: the cheapest relocation increment C[y, b] - C[y, a] over
-        # the members y of a (flow at a > 0), and wit[a][b] a member that
-        # achieves it; None when a has no member, and on the diagonal. The
-        # searches read this k x k table; _enroll and _depart keep it exact.
+        # the members y of a (flow at a > 0), and wit[a][b] the least-index
+        # member that achieves it; None when a has no member, and on the
+        # diagonal. The searches read this k x k table and _push moves its
+        # witnesses; _enroll and _depart keep it exact.
         # start[a]: the members of a in the greedy start; joined[a]: the
         # supply nodes that became members of a later, departed ones
-        # included. See _queue. tight[a]: the bitset of the tight arcs of
+        # included. See _front. tight[a]: the bitset of the tight arcs of
         # row a; reach: the nodes the last failed path search reached.
         self.rel: list[list[int | None]] = []
         self.wit: list[list[int | None]] = []
@@ -599,8 +610,9 @@ class _Solver:
 
     def _enroll(self, y: int, x: int) -> None:
         """Record new member y of x: lower the row x minima it beats, mark
-        those it makes tight, and add its entries to the pair queues of x
-        that are built already."""
+        those it makes tight, take over as witness where it ties a minimum
+        with a lower index, and add its entries to the pair queues of x that
+        are built already."""
         self.joined[x].append(y)
         C = self.C
         incs = (C[y] - C[y, x]).tolist()
@@ -616,7 +628,7 @@ class _Solver:
             if b == x:
                 continue
             r = rel[b]
-            if r is None or inc < r:
+            if r is None or inc < r or (inc == r and y < wit[b]):
                 rel[b] = inc
                 wit[b] = y
                 if inc + vx == v[b]:
@@ -666,24 +678,20 @@ class _Solver:
         self.received[a] -= q
         self.received[b] += q
 
-    def _queue(self, a: int, b: int) -> _PairQueue:
-        """The (a, b) pair queue, built on first use from every supply node
-        that has been a member of a until then."""
+    def _front(self, a: int, b: int) -> tuple[int | None, int | None]:
+        """Cheapest relocation increment from a to b and the member that
+        achieves it (lowest index on ties), pruning stale entries. The (a, b)
+        pair queue is built on first use from every supply node that has
+        been a member of a until then."""
         queue = self.queues[a][b]
+        pack = self._pack
         if queue is None:
             ids = self.start[a]
             if self.joined[a]:
                 ids = np.concatenate([ids, self.joined[a]])
-            keys = (self.C[ids, b] - self.C[ids, a]) * self._pack + ids
+            keys = (self.C[ids, b] - self.C[ids, a]) * pack + ids
             keys.sort()
             queue = self.queues[a][b] = _PairQueue(keys)
-        return queue
-
-    def _front(self, a: int, b: int) -> tuple[int | None, int | None]:
-        """Cheapest relocation increment from a to b and the member that
-        achieves it (lowest index on ties), pruning stale entries."""
-        queue = self._queue(a, b)
-        pack = self._pack
         while True:
             key = queue.peek_min()
             self.queue_reads += 1
@@ -814,74 +822,39 @@ class _Solver:
                 v[x] += d
                 tight[x] &= ~settled
 
-    def _hop_capacity(self, a: int, b: int, bound: int) -> int:
-        """Total flow on tight (a -> b) relocations, counted up to bound.
-
-        A member can appear several times in the heap after leaving and
-        re-arriving; duplicates are counted once and dropped.
-        """
-        target = self.v[b] - self.v[a]
-        queue = self._queue(a, b)
-        pack = self._pack
-        popped: list[int] = []
-        seen: set[int] = set()
-        cap = 0
-        while cap < bound:
-            key = queue.peek_min()
-            self.queue_reads += 1
-            if key is None:
-                break
-            y = key % pack
-            if self.flow_at(y, a) == 0 or y in seen:  # departed, or a duplicate
-                queue.pop_min()
-                self.stale_pops += 1
-                continue
-            if (key - y) // pack != target:
-                break
-            popped.append(queue.pop_min())
-            seen.add(y)
-            cap += self.flow_at(y, a)
-        for key in popped:
-            queue.push(key)
-        self.heap_pushes += len(popped)
-        return cap
-
     def _push(self, path: list[int]) -> None:
+        """Augment along a tight path from an excess node to a deficit node.
+
+        Each round moves the witness of every hop (a, b), wit[a][b], by
+        theta: the least of the excess at path[0], the deficit at path[-1]
+        and each witness's flow at its hop. Rounds repeat while all three
+        remain and every hop stays tight. A block moved into a node of the
+        path is never tight towards the next one, or the search would have
+        reached that node first, so each hop moves the members it held
+        tight when the path was found, in index order.
+        """
+        received = self.received
         demands = self.demands
-        theta = min(
-            self.received[path[0]] - demands[path[0]],
-            demands[path[-1]] - self.received[path[-1]],
-        )
-        for a, b in zip(path, path[1:]):
-            theta = min(theta, self._hop_capacity(a, b, theta))
-        if theta <= 0:
-            raise FlowError("internal: empty push")
+        first, last = path[0], path[-1]
+        hops = list(zip(path, path[1:]))
         self.augmentations += 1
-        pack = self._pack
-        for a, b in zip(path, path[1:]):
-            target = self.v[b] - self.v[a]
-            queue = self._queue(a, b)
-            need = theta
-            while need > 0:
-                key = queue.peek_min()
-                self.queue_reads += 1
-                if key is None:
-                    raise FlowError("internal: hop capacity vanished")
-                y = key % pack
-                amt = self.flow_at(y, a)
-                if amt == 0:
-                    queue.pop_min()
-                    self.stale_pops += 1
-                    continue
-                if (key - y) // pack != target:
-                    raise FlowError("internal: tight arc lost its witness")
-                q = min(amt, need)
-                queue.pop_min()
-                self._move(y, a, b, q)
-                need -= q
-                if q < amt:  # y keeps flow at a
-                    queue.push(key)
-                    self.heap_pushes += 1
+        while True:
+            ys = [self.wit[a][b] for a, b in hops]
+            theta = min(
+                received[first] - demands[first],
+                demands[last] - received[last],
+                *(self.flow_at(y, a) for y, (a, _) in zip(ys, hops)),
+            )
+            if theta <= 0:
+                raise FlowError("internal: empty push")
+            for y, (a, b) in zip(ys, hops):
+                self._move(y, a, b, theta)
+            if (
+                received[first] == demands[first]
+                or received[last] == demands[last]
+                or not all(self.tight[a] >> b & 1 for a, b in hops)
+            ):
+                return
 
     # -- main loop ---------------------------------------------------------
 

@@ -49,6 +49,30 @@ def transshipment(inst: Instance, centers: CenterSet) -> flow.TransshipmentInsta
     return flow.TransshipmentInstance(costs, inst.populations(), centers.capacities)
 
 
+def grid_transshipment(
+    seed: int, n: int, side: int, k: int, zeros: float = 0.0, heavy: int = 0, warm: bool = False
+) -> tuple[flow.TransshipmentInstance, np.ndarray | None]:
+    """Blocks and centers on a small integer grid, with squared distances
+    as costs: many exactly tied costs. A share ``zeros`` of the blocks has
+    no supply, and ``heavy`` blocks hold more than a district's demand, so
+    they must split. Returns the instance and, with ``warm``, random
+    starting potentials."""
+    rng = np.random.default_rng(seed)
+    locs = rng.integers(0, side + 1, size=(n, 2))
+    centers = rng.integers(0, side + 1, size=(k, 2))
+    costs = ((locs[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2).sum(axis=2)
+    supplies = rng.integers(1, 40, size=n)
+    supplies[rng.random(n) < zeros] = 0
+    supplies[rng.integers(0, n, size=heavy)] += 2 * (int(supplies.sum()) // k + 1)
+    supplies[0] += int(supplies.sum()) == 0
+    total = int(supplies.sum())
+    demands = np.full(k, total // k)
+    demands[: total % k] += 1
+    inst = flow.TransshipmentInstance(costs, supplies, demands)
+    potentials = rng.integers(-(side**2), side**2 + 1, size=k) if warm else None
+    return inst, potentials
+
+
 def uniform_instance(seed: int, n: int, m: int, k: int, name: str = "uniform") -> Instance:
     rng = np.random.default_rng(seed)
     locs = rng.uniform(0.0, 100.0, size=(n, 2))

@@ -20,6 +20,7 @@ from districtor.lloyd import LloydConfig, centroid_step, run, seed_centers
 from districtor.model import CenterSet, ModelError, assignment_cost, balanced_capacities
 from tests.conftest import (
     gaussian_instance,
+    grid_transshipment,
     hexagon_instance,
     make_instance,
     random_small_instance,
@@ -337,6 +338,26 @@ class TestSolveFingerprint:
         inst = gaussian_instance(seed, n=n, m=m, k=k)
         sol = solve_balanced(inst, seed_centers(inst, k, 0)).flow_solution
         assert self.fingerprint(sol) == digest
+
+    GRID_PINNED = [
+        (0, "267ed867b974d26b31d39b7be0c86be1e69459529b3e074e037b7bd3f3c6852c", (44, 8, 944)),
+        (1, "2f706319d29092ef1a719ca4b9747f119682e6691838796e0cdcd372b201035d", (44, 3, 214)),
+    ]
+
+    @pytest.mark.parametrize(("seed", "digest", "counts"), GRID_PINNED, ids=["seed0", "seed1"])
+    def test_grid_solve_that_moves_many_blocks_per_hop(self, seed, digest, counts):
+        """The solves above, like the benchmark's, move one block per hop of
+        an augmenting path. Tied costs on a 6 x 6 grid put up to 44 blocks
+        on one hop of these 1,000 x 23 solves, and on seed 1 a block joins
+        a center with a lower index than the member that achieves a least
+        relocation it ties.
+        Measured, with the counts of augmentations, reprices and table
+        reads, when each hop walked its pair queue."""
+        inst, _ = grid_transshipment(seed, n=1_000, side=6, k=23)
+        sol = flow.solve_mcf(inst)
+        assert self.fingerprint(sol) == digest
+        s = sol.stats
+        assert (s.augmentations, s.reprices, s.table_reads) == counts
 
 
 RELATION_CASES = ["1000x53-cold", "1000x53-warm", "5000x7-seed1"]

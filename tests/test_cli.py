@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from districtor import dataio, lloyd
@@ -77,7 +77,7 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
-    def test_max_iters_one_truncates(self, tmp_path):
+    def test_max_iters_one_truncates(self, tmp_path, capsys):
         blocks = tmp_path / "blocks.csv"
         write_gauss_instance(blocks)
         code = main(
@@ -89,6 +89,13 @@ class TestSolve:
         assert len(trace) == 2  # header plus a single iteration
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["converged"] is False
+        # the run ends one centroid move short, and its result set still
+        # validates: the centroid condition failed it (max drift 5.25)
+        capsys.readouterr()
+        assert main(["validate", "--dir", str(tmp_path / "out")]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "PASS centroid condition: not checked: the run did not converge" in out
+        assert "FAIL" not in out
 
     def test_missing_input(self, tmp_path, capsys):
         code = main(
@@ -245,6 +252,10 @@ class TestValidate:
         "command, fname, edit",
         [
             pytest.param("validate", "summary.json", _set_summary("scale", 0), id="zero-scale"),
+            pytest.param(
+                "validate", "summary.json", _set_summary("converged", "yes"),
+                id="converged-not-a-bool",
+            ),
             *(
                 pytest.param(command, fname, edit, id=f"{command}-{name}")
                 for command in ("validate", "stats")
@@ -473,20 +484,27 @@ class TestValidate:
             (3, "first", "inf"),
             (3, "last", "1e300"),
             (None, None, "iterations+1"),
+            (None, None, "not-converged"),
         ],
         ids=[
             "iteration-renumbered", "cost-inf", "cost-off-by-an-ulp", "displacement-negative",
             "displacement-nan", "displacement-inf", "converged-above-threshold",
-            "summary-iterations",
+            "summary-iterations", "not-converged-within-threshold",
         ],
     )
     def test_tampered_trace_fails(self, solved_dir, capsys, column, rows, value):
         """trace.csv used to be checked by its scaled costs alone: every cost
-        inf and every displacement -5 passed validation."""
+        inf and every displacement -5 passed validation. A run that did not
+        converge ends above the threshold, or lloyd.run would have stopped
+        there converged."""
         if column is None:
             summary = solved_dir / "summary.json"
             payload = json.loads(summary.read_text())
-            payload["iterations"] += 1
+            if value == "not-converged":
+                assert payload["converged"] is True
+                payload["converged"] = False
+            else:
+                payload["iterations"] += 1
             summary.write_text(json.dumps(payload), encoding="utf-8")
         else:
             trace = solved_dir / "trace.csv"
@@ -800,8 +818,8 @@ def scaled_gaussian(scale):
     return [(x, y, 5) for x, y in xy.tolist()]
 
 
-def block_rows(rows):
-    return "block_id,x,y,population\n" + "".join(
+def block_rows(rows, header="block_id,x,y,population"):
+    return header + "\n" + "".join(
         f"b{i},{x!r},{y!r},{p}\n" for i, (x, y, p) in enumerate(rows)
     )
 
@@ -936,20 +954,43 @@ def block_files(draw):
     return [(x * scale, y * scale, p) for (x, y), p in rows], draw(st.integers(1, 4))
 
 
-@settings(deadline=None, max_examples=30)
-@given(case=block_files())
-def test_any_block_file_ends_validated_or_in_one_named_error(case):
-    """Through cli.main, a block file ends in exit 0 or 2 with a result set
-    that validates, or in exit 1 with a single error line; a traceback
-    fails the test by propagating out of main."""
+@st.composite
+def solve_options(draw):
+    """solve's options besides the input, k and the seed, each left out or
+    drawn: --scale from subnormal to 1e300, --lonlat, --threshold (negative
+    and NaN ones are rejected), --max-iters 1-4 and --restarts 1-3."""
+    flags = ["--lonlat"] if draw(st.booleans()) else []
+    scale = draw(st.none() | st.sampled_from([5e-324, 1e-310, 1e-300, 1e-12, 1.0, 1e300])
+                 | st.floats(5e-324, 1e300))
+    threshold = draw(st.none() | st.sampled_from([0.0, 1e-300, 1e300, math.inf, -1.0, math.nan])
+                     | st.floats(0.0, 10.0))
+    for flag, value in (("--scale", scale), ("--threshold", threshold)):
+        if value is not None:
+            flags += [flag, repr(value)]
+    for flag, top in (("--max-iters", 4), ("--restarts", 3)):
+        if draw(st.booleans()):
+            flags += [flag, str(draw(st.integers(1, top)))]
+    return flags
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=block_files(), flags=solve_options())
+# found by this test at 3,000 examples: validate failed the centroid
+# condition of every run stopped by --max-iters
+@example(case=([(-1e-12, -1e-12, 1), (-1e-12, 0.0, 1)], 1), flags=["--max-iters", "1"])
+def test_any_block_file_ends_validated_or_in_one_named_error(case, flags):
+    """Through cli.main, a block file and any options end in exit 0 or 2
+    with a result set that validates, or in exit 1 with a single error
+    line; a traceback fails the test by propagating out of main."""
     rows, k = case
+    header = "block_id,lon,lat,population" if "--lonlat" in flags else "block_id,x,y,population"
     with tempfile.TemporaryDirectory() as tmp:
         blocks, out = Path(tmp) / "b.csv", Path(tmp) / "out"
-        blocks.write_text(block_rows(rows), encoding="utf-8")
+        blocks.write_text(block_rows(rows, header), encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["solve", "--input", str(blocks), "--k", str(k), "--seed", "0",
-                         "--out", str(out)])
+                         *flags, "--out", str(out)])
             checked = main(["validate", "--dir", str(out)]) if code != EXIT_INPUT else None
         if code == EXIT_INPUT:
             assert len(err.getvalue().splitlines()) == 1

@@ -394,6 +394,19 @@ def test_files_of_a_run_take_the_loadtxt_path(tmp_path):
     refuse.assert_not_called()
 
 
+def test_loadtxt_assignment_columns_own_their_data(tmp_path):
+    """The loadtxt path returned views into its structured array, so a
+    caller that kept the center or persons column kept every id string of
+    the file alive."""
+    _, _, _, paths = small_run(tmp_path)
+    refuse = mock.Mock(side_effect=AssertionError("read row by row"))
+    with mock.patch.object(dataio, "_read_csv_rows", refuse):
+        _, centers, persons = dataio.read_assignment_columns(paths["assignment"])
+    for column in (centers, persons):
+        assert column.dtype == np.int64
+        assert column.base is None and column.flags.owndata
+
+
 def test_assignment_columns_match_the_rows(tmp_path):
     p = tmp_path / "assignment.csv"
     p.write_text(

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from districtor import flow
 from districtor.assignment import ScaledCostPolicy, cost_model_for
 from districtor.model import balanced_capacities
-from tests.conftest import distribute_population, make_instance
+from tests.conftest import distribute_population, grid_transshipment, make_instance
 from tests.oracle import dijkstra_reprice, linprog_transport, network_simplex_transport
 
 pytest.importorskip("scipy")
@@ -163,7 +163,8 @@ class _CheckedSolver(flow._Solver):
         exactly for the blocks held whole by one center, and every split
         entry holds two or more positive amounts. rel[a][b] is the least
         C[y, b] - C[y, a] over the members y of a, by brute force, and
-        wit[a][b] is a member that achieves it."""
+        wit[a][b] is the least-index member that achieves it: the block
+        that _push moves first on a tight arc."""
         self.checks += 1
         C = self.C
         n, k = C.shape
@@ -184,9 +185,8 @@ class _CheckedSolver(flow._Solver):
                     continue
                 inc = C[members, b] - C[members, a]
                 assert self.rel[a][b] == int(inc.min())
-                y = self.wit[a][b]
-                assert flows[y, a] > 0
-                assert int(C[y, b] - C[y, a]) == self.rel[a][b]
+                # members ascend, and argmin takes the first minimum
+                assert self.wit[a][b] == int(members[inc.argmin()])
         self.check_tight()
 
 
@@ -205,26 +205,14 @@ def test_relocation_table_stays_exact(seed, k, n, side, zeros, heavy, warm):
     zero supplies leave blocks out of the flow, and heavy blocks above a
     district's demand must split. Every reprice must give the reference
     Dijkstra's potentials."""
-    rng = np.random.default_rng(seed)
-    locs = rng.integers(0, side + 1, size=(n, 2))
-    centers = rng.integers(0, side + 1, size=(k, 2))
-    costs = ((locs[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2).sum(axis=2)
-    supplies = rng.integers(1, 40, size=n)
-    supplies[rng.random(n) < zeros] = 0
-    supplies[rng.integers(0, n, size=heavy)] += 2 * (int(supplies.sum()) // k + 1)
-    supplies[0] += int(supplies.sum()) == 0
-    total = int(supplies.sum())
-    demands = np.full(k, total // k)
-    demands[: total % k] += 1
-    inst = flow.TransshipmentInstance(costs, supplies, demands)
-    potentials = rng.integers(-(side**2), side**2 + 1, size=k) if warm else None
+    inst, potentials = grid_transshipment(seed, n, side, k, zeros, heavy, warm)
     solver = _CheckedSolver(inst, potentials)
     solver.run()
     assert solver.checks == solver.augmentations + 1
     assert solver.reprice_checks == solver.reprices
     sol = solver.solution()
     flow.certify(inst, sol)
-    assert sol.objective == network_simplex_transport(costs, supplies, demands)
+    assert sol.objective == network_simplex_transport(inst.costs, inst.supplies, inst.demands)
     # the read-out merges the split blocks into the whole-block entries; a
     # lexsort of every positive flow gives the same entries
     y, x = np.nonzero([[solver.flow_at(y, x) for x in range(k)] for y in range(n)])
