@@ -80,7 +80,7 @@ def project(lon, lat, reference_parallel: float) -> tuple:
     )
 
 
-def read_blocks(path: str | Path, k: int, lonlat: bool = False, name: str | None = None) -> Instance:
+def read_blocks(path: str | Path, k: int, lonlat: bool = False) -> Instance:
     """Read a block CSV into an Instance.
 
     With ``lonlat`` the header must be block_id,lon,lat,population and the
@@ -88,29 +88,26 @@ def read_blocks(path: str | Path, k: int, lonlat: bool = False, name: str | None
     latitude); otherwise the header is block_id,x,y,population and the
     coordinates pass through. Zero-population blocks are kept. Any malformed
     row fails with its line number, and a file that is not UTF-8 fails with
-    a DataError that names it.
+    a DataError that names it. The instance is named after the file's stem.
     """
     path = Path(path)
     expected = LONLAT_HEADER if lonlat else PLANAR_HEADER
-    name = name if name is not None else path.stem
     try:
         rows = _load_rows(path, lambda found: [h.strip() for h in found] == expected, _BLOCK_ROW)
         if rows is not None:
             ids = list(map(str.strip, rows["id"]))
             if all(ids) and '"' not in "".join(ids):
                 try:
-                    return _block_instance(
-                        path, ids, rows["x"], rows["y"], rows["p"], k, lonlat, name
-                    )
+                    return _block_instance(path, ids, rows["x"], rows["y"], rows["p"], k, lonlat)
                 except (DataError, ModelError):
                     pass  # read again row by row, which names the line of the first bad row
-        return _block_instance(path, *_read_block_rows(path, expected), k, lonlat, name)
+        return _block_instance(path, *_read_block_rows(path, expected), k, lonlat)
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise DataError(f"{path}: not UTF-8 text (undecodable byte 0x{bad:02x})") from None
 
 
-def _block_instance(path: Path, ids, xs, ys, pops, k: int, lonlat: bool, name: str) -> Instance:
+def _block_instance(path: Path, ids, xs, ys, pops, k: int, lonlat: bool) -> Instance:
     """The Instance of a block file's columns, projected first with ``lonlat``."""
     if lonlat:
         # The sequential Python mean, not np.mean: the reference parallel,
@@ -122,7 +119,9 @@ def _block_instance(path: Path, ids, xs, ys, pops, k: int, lonlat: bool, name: s
         except DataError as exc:
             bad = int(np.argmax(np.abs(ys) >= MAX_ABS_LATITUDE))
             raise DataError(f"{path}: block {ids[bad]!r}: {exc}") from None
-    return Instance(ids=ids, locations=np.column_stack((xs, ys)), populations=pops, k=k, name=name)
+    return Instance(
+        ids=ids, locations=np.column_stack((xs, ys)), populations=pops, k=k, name=path.stem
+    )
 
 
 def _read_block_rows(path: Path, expected: list[str]) -> tuple:

@@ -7,6 +7,7 @@ frame edges and bisector edges can be told apart when counting sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,6 +17,8 @@ from .model import CenterSet, ModelError, PowerWeights
 
 # Edge labels < 0 mark the four frame sides; labels >= 0 name the opposing center.
 _FRAME_LABELS = (-1, -2, -3, -4)
+# the frame pads the points' bounding box by this share of its span per side
+_FRAME_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ class ConvexCell:
         """Closed vertex ring (first point repeated at the end)."""
         if self.is_empty:
             return []
-        pts = [[float(x), float(y)] for x, y in self.vertices]
+        pts = self.vertices.tolist()
         pts.append(pts[0])
         return pts
 
@@ -57,82 +60,68 @@ class DiagramStats:
 
 def bisector_halfplane(
     pi: Sequence[float], wi: float, pj: Sequence[float], wj: float
-) -> tuple[np.ndarray, float] | None:
+) -> tuple[tuple[float, float], float] | None:
     """Halfplane of points weighted-closer to center i than to center j.
 
     Expanding d2(p, xi) - wi <= d2(p, xj) - wj gives the linear inequality
-    2 (xj - xi) . p <= |xj|^2 - |xi|^2 - wj + wi, returned as (a, b) with
-    a . p <= b. Returns None for coincident centers; the caller decides the
-    degenerate all-or-nothing split.
+    2 (xj - xi) . p <= |xj|^2 - |xi|^2 - wj + wi, returned as ((ax, ay), b)
+    with ax px + ay py <= b. Returns None for coincident centers; the caller
+    decides the degenerate all-or-nothing split.
     """
-    xi = np.asarray(pi, dtype=np.float64)
-    xj = np.asarray(pj, dtype=np.float64)
-    if xi[0] == xj[0] and xi[1] == xj[1]:
+    (xi, yi), (xj, yj) = pi, pj
+    if xi == xj and yi == yj:
         return None
-    a = 2.0 * (xj - xi)
-    b = float(xj @ xj - xi @ xi - wj + wi)
-    return a, b
+    return (2.0 * (xj - xi), 2.0 * (yj - yi)), (xj * xj + yj * yj) - (xi * xi + yi * yi) - wj + wi
 
 
 def _clip(
-    verts: list[np.ndarray],
+    verts: list[tuple[float, float]],
     labels: list[int],
-    a: np.ndarray,
+    a: tuple[float, float],
     b: float,
     source: int,
-) -> tuple[list[np.ndarray], list[int]]:
+) -> tuple[list[tuple[float, float]], list[int]]:
     """Clip a convex polygon by a . p <= b; the new chord is labeled source."""
-    if not verts:
-        return [], []
-    vals = [float(a @ p) - b for p in verts]
-    out_v: list[np.ndarray] = []
+    ax, ay = a
+    vals = [ax * x + ay * y - b for x, y in verts]
+    out_v: list[tuple[float, float]] = []
     out_l: list[int] = []
     nv = len(verts)
     for i in range(nv):
         j = (i + 1) % nv
-        s, e = verts[i], verts[j]
         s_in = vals[i] <= 0.0
-        e_in = vals[j] <= 0.0
         if s_in:
-            out_v.append(s)
+            out_v.append(verts[i])
             out_l.append(labels[i])
-            if not e_in:
-                t = vals[i] / (vals[i] - vals[j])
-                out_v.append(s + t * (e - s))
-                out_l.append(source)
-        elif e_in:
+        if s_in != (vals[j] <= 0.0):
+            (sx, sy), (ex, ey) = verts[i], verts[j]
             t = vals[i] / (vals[i] - vals[j])
-            out_v.append(s + t * (e - s))
-            out_l.append(labels[i])
+            out_v.append((sx + t * (ex - sx), sy + t * (ey - sy)))
+            out_l.append(source if s_in else labels[i])
     return out_v, out_l
 
 
-def _dedupe(verts: list[np.ndarray], labels: list[int], eps: float):
+def _dedupe(verts: list[tuple[float, float]], labels: list[int], eps: float):
     """Drop zero-length edges introduced by clips through a vertex."""
-    if not verts:
+    keep = [
+        i
+        for i, ((x, y), (u, v)) in enumerate(zip(verts, verts[1:] + verts[:1]))
+        if math.hypot(u - x, v - y) > eps
+    ]
+    if len(keep) < 3:
         return [], []
-    keep_v: list[np.ndarray] = []
-    keep_l: list[int] = []
-    nv = len(verts)
-    for i in range(nv):
-        j = (i + 1) % nv
-        if float(np.hypot(*(verts[j] - verts[i]))) > eps:
-            keep_v.append(verts[i])
-            keep_l.append(labels[i])
-    if len(keep_v) < 3:
-        return [], []
-    return keep_v, keep_l
+    return [verts[i] for i in keep], [labels[i] for i in keep]
 
 
-def default_frame(points: np.ndarray, margin: float = 0.05) -> tuple[float, float, float, float]:
-    """Bounding box of the points expanded by ``margin`` per side."""
+def default_frame(points: np.ndarray) -> tuple[float, float, float, float]:
+    """Bounding box of the points expanded by ``_FRAME_MARGIN`` of the span per side."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = hi - lo
     diag = float(np.hypot(span[0], span[1]))
-    pad_x = margin * (span[0] if span[0] > 0 else (diag if diag > 0 else 1.0))
-    pad_y = margin * (span[1] if span[1] > 0 else (diag if diag > 0 else 1.0))
+    pad_x = _FRAME_MARGIN * (span[0] if span[0] > 0 else (diag if diag > 0 else 1.0))
+    pad_y = _FRAME_MARGIN * (span[1] if span[1] > 0 else (diag if diag > 0 else 1.0))
     # a pad below the coordinates' resolution still widens each side by a float
     lo = np.minimum(lo - (pad_x, pad_y), np.nextafter(lo, -np.inf))
     hi = np.maximum(hi + (pad_x, pad_y), np.nextafter(hi, np.inf))
@@ -148,25 +137,22 @@ def compute_cells(
 
     The frame must contain every center and every point of interest. Empty
     cells are returned with an empty vertex list (a center's power region
-    can be empty); cells of the nonempty centers tile the frame.
+    can be empty); cells of the nonempty centers tile the frame. The
+    clipping is plain Python float arithmetic, so the vertices do not
+    depend on the BLAS kernel.
     """
     if isinstance(centers, CenterSet):
         centers = centers.positions
-    pos = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    k = pos.shape[0]
-    if w.shape[0] != k:
+    pos = np.asarray(centers, dtype=np.float64).reshape(-1, 2).tolist()
+    w = np.asarray(weights, dtype=np.float64).reshape(-1).tolist()
+    k = len(pos)
+    if len(w) != k:
         raise ModelError("one weight per center required")
     x0, y0, x1, y1 = frame
     if not (x1 > x0 and y1 > y0):
         raise ModelError(f"degenerate frame {frame}")
-    eps = 1e-12 * float(np.hypot(x1 - x0, y1 - y0))
-    frame_verts = [
-        np.array([x0, y0]),
-        np.array([x1, y0]),
-        np.array([x1, y1]),
-        np.array([x0, y1]),
-    ]
+    eps = 1e-12 * math.hypot(x1 - x0, y1 - y0)
+    frame_verts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     cells: list[ConvexCell] = []
     for i in range(k):
         verts = list(frame_verts)

@@ -245,9 +245,11 @@ def assignment_cost(inst: Instance, centers: CenterSet, asg: BalancedAssignment)
 
     Computes and checks nothing else: the caller passes an assignment that
     ``flow.certify`` (every solve) or ``validate`` (a result set read back)
-    has found conserving and exactly balanced.
+    has found conserving and exactly balanced. The sum is exactly rounded
+    (``math.fsum``), so it depends neither on the entries' order nor on
+    the BLAS kernel.
     """
     locs = inst.locations()[asg.block_indices]
     cpos = centers.positions[asg.center_indices]
     d2 = np.sum((locs - cpos) ** 2, axis=1)
-    return float(np.dot(asg.persons.astype(np.float64), d2))
+    return math.fsum(asg.persons * d2)

@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,6 +26,7 @@ from districtor.cli import (
     main,
 )
 from districtor.dataio import _WRITE_ROWS
+from tests.conftest import gaussian_instance
 
 
 def write_corner_instance(path: Path):
@@ -724,6 +729,65 @@ class TestSummaryDeterminism:
         assert solver["sweeps"] > 0 and solver["augmentations"] > 0
 
 
+def openblas_on_x86_64() -> bool:
+    """Whether numpy reports OpenBLAS and this is an x86-64 machine, where
+    OPENBLAS_CORETYPE picks the kernel of a process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return False
+    return "openblas" in blas.lower() and platform.machine().lower() in ("x86_64", "amd64")
+
+
+@pytest.mark.skipif(not openblas_on_x86_64(), reason="needs numpy on OpenBLAS on x86-64")
+class TestAcrossBlasKernels:
+    """The same input and seed give the same result set whichever BLAS
+    kernel numpy picks for the CPU. A subprocess under
+    OPENBLAS_CORETYPE=Nehalem runs another kernel than this process (on
+    this planar 20,000-block input, the default kernel and Nehalem once
+    disagreed on cells.json and on summary.json's final_cost)."""
+
+    @staticmethod
+    def under_nehalem(*args: str) -> subprocess.CompletedProcess:
+        src = str(Path(dataio.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, "-m", "districtor", *args], env=env, capture_output=True, text=True
+        )
+
+    @staticmethod
+    def artifacts(out: Path) -> dict:
+        files = {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+        summary = json.loads(files.pop("summary.json"))
+        summary.pop("wall_time_seconds")
+        return {**files, "summary.json": summary}
+
+    def test_solve_and_validate_under_a_second_kernel(self, tmp_path):
+        inst = gaussian_instance(1, n=20_000, m=600_000, k=7)
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text(
+            "block_id,x,y,population\n"
+            + "".join(
+                f"{b},{x!r},{y!r},{p}\n"
+                for b, (x, y), p in zip(
+                    inst.ids, inst.locations().tolist(), inst.populations().tolist()
+                )
+            ),
+            encoding="utf-8",
+        )
+        args = ("solve", "--input", str(blocks), "--k", "7", "--seed", "2", "--out")
+        assert main([*args, str(tmp_path / "default")]) == EXIT_OK
+        solved = self.under_nehalem(*args, str(tmp_path / "nehalem"))
+        assert solved.returncode == EXIT_OK, solved.stderr
+        default = self.artifacts(tmp_path / "default")
+        nehalem = self.artifacts(tmp_path / "nehalem")
+        assert default.keys() == nehalem.keys()
+        assert [f for f in default if default[f] != nehalem[f]] == []
+        checked = self.under_nehalem("validate", "--dir", str(tmp_path / "default"))
+        assert checked.returncode == EXIT_OK, checked.stdout + checked.stderr
+
+
 class TestBlockIds:
     """Every id that solve accepts must come back from validate's read of
     the result set."""
@@ -770,7 +834,7 @@ class TestArtifactFingerprint:
         "assignment.csv": "60e4fe96928dacb91e1cd1f46c23ba2324158dc5ec09212f15b7f70eb2c9c46e",
         "centers.csv": "729fadd3a4b01bf96d0c53252f2c7b3b276d7478c0bd623028380984e58ea26a",
         "trace.csv": "ecf4d48f68bec448c2e52b9a5b3bf4e534d881d64d1a00bed5e9cd2539ae2b95",
-        "cells.json": "a71eb9f1927d4606687d58668bf4c1c19b59241fe7dee97985de57a6d20bf3de",
+        "cells.json": "946ded5e30e3cd0719c23bdc797a957863c153f943959a893a811bccff58d82c",
     }
 
     def test_lonlat_solve_artifacts(self, tmp_path):
@@ -796,7 +860,7 @@ class TestArtifactFingerprintAcrossChunks:
         "assignment.csv": "1ffad1b14e3ebf62c105f2a86dd6f93dbbdd3df5f7816bebc38ed670d03c1615",
         "centers.csv": "93dc75891012e6b9024d170c7ed267e77f34868c30f9471fa625a40e12f6e139",
         "trace.csv": "01b92f4a8d459b1c0a85eab912b59c1a7c82226cb621c77797883f14ecfa4dd4",
-        "cells.json": "9d3bbf5c24242777b5bd13031853243141a4894159c3f266a3d51574d120fb70",
+        "cells.json": "be24f01da4be5b5475813dfd2d04c5f10ddeb7fc2554eab78b4d5e73e21ec519",
     }
 
     def test_lonlat_solve_artifacts(self, tmp_path):

@@ -33,20 +33,20 @@ class TestBisector:
     def test_unweighted_midline(self):
         a, b = bisector_halfplane((0, 0), 0.0, (2, 0), 0.0)
         # halfplane x <= 1
-        assert a.tolist() == [4.0, 0.0]
+        assert a == (4.0, 0.0)
         assert b == pytest.approx(4.0)
 
     def test_weight_shifts_boundary(self):
         a, b = bisector_halfplane((0, 0), 0.0, (2, 0), 4.0)
         # 2*(2,0).p <= 4 - 0 - 4 + 0 => x <= 0
-        assert a.tolist() == [4.0, 0.0]
+        assert a == (4.0, 0.0)
         assert b == pytest.approx(0.0)
 
     def test_equal_weights_cancel(self):
         base = bisector_halfplane((0, 0), 0.0, (2, 0), 0.0)
         for c in (-3.0, 1.5, 100.0):
             shifted = bisector_halfplane((0, 0), c, (2, 0), c)
-            assert shifted[0].tolist() == base[0].tolist()
+            assert shifted[0] == base[0]
             assert shifted[1] == pytest.approx(base[1])
 
     def test_coincident_centers_return_none(self):

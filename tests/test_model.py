@@ -223,6 +223,27 @@ class TestAssignmentCost:
         assert asg.center_indices.tolist() == [0, 1]
         assert assignment_cost(inst, centers, asg) == 2.0
 
+    def test_unchanged_when_the_entries_are_permuted(self, rng):
+        # entries are summed in (block, center) order, so relabelling the
+        # blocks reorders the sum; an exactly rounded sum does not move
+        n, k = 2_000, 5
+        locs = rng.normal(0.0, 100.0, size=(n, 2)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        pops = rng.integers(1, 10**4, size=n)
+        ci = rng.integers(0, k, size=n)
+        centers = CenterSet(
+            positions=rng.normal(0.0, 100.0, size=(k, 2)),
+            capacities=balanced_capacities(int(pops.sum()), k),
+        )
+        asg = BalancedAssignment(block_indices=np.arange(n), center_indices=ci, persons=pops)
+        cost = assignment_cost(make_instance(locs, pops, k), centers, asg)
+        for _ in range(5):
+            perm = rng.permutation(n)  # block b of the relabelled instance is block perm[b]
+            moved = BalancedAssignment(
+                block_indices=np.argsort(perm), center_indices=ci, persons=pops
+            )
+            inst = make_instance(locs[perm], pops[perm], k)
+            assert assignment_cost(inst, centers, moved) == cost
+
 
 class TestAssignmentEntries:
     """BalancedAssignment keeps its entries in (block, center) order: entries
