@@ -152,33 +152,40 @@ class _Report:
 
 # A result set is outside input: a malformed file or summary field ends in a
 # clean exit 1. DataError, ModelError and AssignmentError are ValueErrors;
-# TypeError and OverflowError come from summary fields of the wrong JSON
-# type or an integer beyond int64.
+# OverflowError comes from a summary integer beyond int64 or the float range;
+# TypeError is kept for a JSON value of a type no check foresaw.
 _INPUT_ERRORS = (ValueError, TypeError, OverflowError, OSError)
 
 
 def _load_diagram(out_dir: Path):
     """The summary, blocks, centers and weights of a result set, the
     per-center populations that centers.csv reports, and the cost model of
-    its scale, which solve would accept."""
+    its scale, which solve would accept. The summary fields that validate
+    and stats read must be present, each of its JSON type."""
     summary = dataio.read_summary_json(out_dir / "summary.json")
-    for key in ("k", "m", "scale", "threshold", "final_cost", "final_cost_scaled", "converged"):
-        if key not in summary:
-            raise DataError(f"summary.json: missing key {key!r}")
-    inst = dataio.read_blocks(out_dir / "blocks.csv", k=int(summary["k"]))
+    for keys, types, kind in (
+        (("k", "m", "final_cost_scaled"), (int,), "an integer"),
+        (("scale", "threshold", "final_cost"), (int, float), "a number"),
+        (("converged",), (bool,), "true or false"),
+    ):
+        for key in keys:
+            if key not in summary:
+                raise DataError(f"summary.json: missing key {key!r}")
+            if type(summary[key]) not in types:  # not isinstance: a bool is an int
+                raise DataError(f"summary.json: {key} {summary[key]!r} is not {kind}")
+    inst = dataio.read_blocks(out_dir / "blocks.csv", k=summary["k"])
     model = cost_model_for(inst, ScaledCostPolicy(scale=float(summary["scale"])))
     positions, weights, capacities, populations = dataio.read_centers_csv(out_dir / "centers.csv")
     centers = CenterSet(positions=positions, capacities=capacities)
     return summary, inst, centers, weights, populations, model
 
 
-def _cell_mismatch(entry: dict, cell: geometry.ConvexCell, weight: float, ring_tol: float) -> str:
+def _cell_mismatch(entry: dict, cell: geometry.ConvexCell, weight: float) -> str:
     """The first field of a cells.json entry that disagrees with the
     recomputed cell, or with the centers.csv weight of its center; "" when
-    none does."""
-    ring = np.array(entry["ring"], dtype=np.float64).reshape(-1, 2)
-    expect = np.array(cell.ring(), dtype=np.float64).reshape(-1, 2)
-    if ring.shape != expect.shape or (ring.size and float(np.abs(ring - expect).max()) > ring_tol):
+    none does. The cells are plain float arithmetic on the written centers
+    and weights, so the rings must be equal exactly."""
+    if entry["ring"] != cell.ring():
         return "ring"
     center = entry.get("center")
     if type(center) is not int or center != cell.center_index:
@@ -210,16 +217,17 @@ def _trace_mismatch(
     trace_rows: list, summary: dict, units_per_cost: float, threshold: float
 ) -> str:
     """The first way trace.csv disagrees with the run it records, "" when
-    none does: the iterations number 0..n-1 with n the summary's count;
-    each cost is its scaled cost in original units, as ``lloyd.run``
+    none does: the iterations number 0..n-1 with n the summary's integer
+    count; each cost is its scaled cost in original units, as ``lloyd.run``
     computes it, and the last is final_cost_scaled; each displacement is
     finite and nonnegative; and the last is within threshold exactly when
     the run converged, since ``lloyd.run`` stops at the first such one."""
     n = len(trace_rows)
     if [row[0] for row in trace_rows] != list(range(n)):
         return "the iterations are not numbered 0, 1, ... in order"
-    if summary.get("iterations") != n:
-        return f"{n} rows, but summary.json counts {summary.get('iterations')!r} iterations"
+    iterations = summary.get("iterations")
+    if type(iterations) is not int or iterations != n:
+        return f"{n} rows, but summary.json counts {iterations!r} iterations"
     for it, cost, cost_scaled, disp in trace_rows:
         # the scaled costs are int64 objectives; the range test also keeps
         # the product from overflowing
@@ -264,11 +272,6 @@ def cmd_validate(args) -> int:
         threshold = float(summary["threshold"])
         final_cost = float(summary["final_cost"])
         objective = summary["final_cost_scaled"]
-        if type(objective) is not int:
-            raise DataError(f"summary.json: final_cost_scaled {objective!r} is not an integer")
-        converged = summary["converged"]
-        if type(converged) is not bool:
-            raise DataError(f"summary.json: converged {converged!r} is not true or false")
         asg_ids, asg_centers, asg_persons = dataio.read_assignment_columns(
             out_dir / "assignment.csv"
         )
@@ -283,6 +286,7 @@ def cmd_validate(args) -> int:
     structural = report.check(
         "result-set structure",
         centers.k == k
+        and summary["m"] == inst.m
         and bool(np.all(asg_persons > 0))
         and bool(np.all((asg_centers >= 0) & (asg_centers < k)))
         and block_indices is not None,
@@ -308,7 +312,7 @@ def cmd_validate(args) -> int:
         bool(np.array_equal(totals, populations)),
     )
 
-    if converged:
+    if summary["converged"]:
         centroids = asg.centroids(inst, totals)
         # The centroid sums round too, by about a float of the largest
         # coordinate per entry; for blocks far from the origin for their
@@ -336,13 +340,12 @@ def cmd_validate(args) -> int:
         f"average {stats.average_sides:.3f} over {stats.nonempty_cells} cells",
     )
 
-    ring_tol = 1e-9 * model.diameter
     mismatch = ""
     if len(cells_payload) != len(cells):
         mismatch = f"{len(cells_payload)} entries for {len(cells)} cells"
     else:
         for i, (entry, cell) in enumerate(zip(cells_payload, cells)):
-            field = _cell_mismatch(entry, cell, float(weights[cell.center_index]), ring_tol)
+            field = _cell_mismatch(entry, cell, float(weights[cell.center_index]))
             if field:
                 mismatch = f"entry {i}: {field} differs"
                 break

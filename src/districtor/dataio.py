@@ -6,16 +6,17 @@ with weights, cell polygons, the iteration trace, and a run summary. All
 files are UTF-8 with LF newlines; floats are written with shortest
 round-trip formatting.
 
-The block CSV reader accepts what ``csv.reader`` with the default dialect
-accepts: quoted fields, LF or CRLF line ends, and blank lines, which are
-skipped. Ids are stripped of surrounding spaces; numbers are parsed by
-``float`` and ``int``. An id may not hold a comma, a double quote, a CR or
-an LF, since the result files write ids unquoted and could not read it
-back. Block files and assignment.csv are parsed by one ``np.loadtxt`` pass
-each. A file that pass would read differently from ``csv`` (a quote in
-the header or an id, no data rows), a row it rejects, and a file the
-checks after it reject are read again row by row through ``csv``, which
-names the line of the first bad row.
+Every CSV is read as ``csv.reader`` with the default dialect reads it:
+quoted fields, LF or CRLF line ends, blank lines skipped. Its header's
+fields, stripped of surrounding spaces, must be the expected names, and
+the first malformed row fails with its file and line. Block ids are
+stripped too; numbers are parsed by ``float`` and ``int``. An id may not
+hold a comma, a double quote, a CR or an LF, since the result files write
+ids unquoted and could not read it back. Block files and assignment.csv
+are parsed by one ``np.loadtxt`` pass each; a file that pass would read
+differently from ``csv`` (a quote in the header or an id, no data rows),
+a row it rejects, and a file the checks after it reject are read again
+row by row.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def read_blocks(path: str | Path, k: int, lonlat: bool = False) -> Instance:
     path = Path(path)
     expected = LONLAT_HEADER if lonlat else PLANAR_HEADER
     try:
-        rows = _load_rows(path, lambda found: [h.strip() for h in found] == expected, _BLOCK_ROW)
+        rows = _load_rows(path, expected, _BLOCK_ROW)
         if rows is not None:
             ids = list(map(str.strip, rows["id"]))
             if all(ids) and '"' not in "".join(ids):
@@ -127,70 +128,54 @@ def _block_instance(path: Path, ids, xs, ys, pops, k: int, lonlat: bool) -> Inst
 def _read_block_rows(path: Path, expected: list[str]) -> tuple:
     """The columns of a block CSV, read row by row through ``csv``; the
     first malformed row fails with its line number."""
-    rows: list[tuple[str, float, float, int]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected:
+    seen: set[str] = set()
+
+    def parse(row: list[str]) -> tuple[str, float, float, int]:
+        block_id = row[0].strip()
+        if not block_id:
+            raise DataError("empty block_id")
+        if any(c in block_id for c in ',"\r\n'):
             raise DataError(
-                f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}"
+                f"block_id {block_id!r} holds a comma, quote or line break, "
+                "which the result files cannot hold"
             )
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            block_id = row[0].strip()
-            if not block_id:
-                raise DataError(f"{path}:{lineno}: empty block_id")
-            if any(c in block_id for c in ',"\r\n'):
-                raise DataError(
-                    f"{path}:{lineno}: block_id {block_id!r} holds a comma, quote or "
-                    "line break, which the result files cannot hold"
-                )
-            if block_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate block_id {block_id!r}")
-            seen.add(block_id)
-            try:
-                cx = float(row[1])
-                cy = float(row[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric coordinate") from None
-            if not (math.isfinite(cx) and math.isfinite(cy)):
-                raise DataError(f"{path}:{lineno}: non-finite coordinate")
-            try:
-                pop = int(row[3])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: population {row[3]!r} is not an integer"
-                ) from None
-            if pop < 0:
-                raise DataError(f"{path}:{lineno}: population {pop} is negative")
-            rows.append((block_id, cx, cy, pop))
+        if block_id in seen:
+            raise DataError(f"duplicate block_id {block_id!r}")
+        seen.add(block_id)
+        try:
+            cx, cy = float(row[1]), float(row[2])
+        except ValueError:
+            raise DataError("non-numeric coordinate") from None
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise DataError("non-finite coordinate")
+        try:
+            pop = int(row[3])
+        except ValueError:
+            raise DataError(f"population {row[3]!r} is not an integer") from None
+        if pop < 0:
+            raise DataError(f"population {pop} is negative")
+        return block_id, cx, cy, pop
+
+    rows = _read_csv_rows(path, expected, parse)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return tuple(zip(*rows))
 
 
-def _load_rows(path: Path, header_ok, dtype: np.dtype) -> np.ndarray | None:
+def _load_rows(path: Path, header: list[str], dtype: np.dtype) -> np.ndarray | None:
     """The data rows of a CSV file as a structured array, parsed by one
     ``np.loadtxt`` pass; None when the row reader must read the file.
 
-    ``header_ok`` judges the header's fields, split at commas with any
-    quotes kept, so a quoted header is rejected. Blank lines are skipped,
-    and a CR ends a line, as it does for ``csv``. None on a rejected
-    header, no data rows, or a row loadtxt rejects (a wrong field count, a
-    field it cannot convert). Ids come back as written, quotes and
-    surrounding spaces included.
+    The header's fields, split at commas with any quotes kept and stripped,
+    must be ``header``, so a quoted header goes to the row reader. Blank
+    lines are skipped, and a CR ends a line, as it does for ``csv``. None
+    on a rejected header, no data rows, or a row loadtxt rejects (a wrong
+    field count, a field it cannot convert). Ids come back as written,
+    quotes and surrounding spaces included.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline()
-    if not header_ok(header.rstrip("\n").split(",")):
-        return None
+        if [h.strip() for h in fh.readline().split(",")] != header:
+            return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt warns of no data rows
@@ -356,15 +341,20 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
 
 
 def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
-    """``parse`` applied to each nonempty data row; a wrong header, a row
-    with a field count other than the header's, or a row that ``parse``
-    rejects fails with its line number, plus a DataError's reason."""
+    """``parse`` applied to each nonempty data row. An empty file, a header
+    whose stripped fields are not ``header``, a row with a field count other
+    than the header's, or a row that ``parse`` rejects fails with its line
+    number, plus a DataError's reason."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
-        if found != header:
-            raise DataError(f"{path}: unexpected header {found}")
+        if found is None:
+            raise DataError(f"{path}: empty file")
+        if [h.strip() for h in found] != header:
+            raise DataError(
+                f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}"
+            )
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -385,7 +375,7 @@ def read_assignment_columns(path: str | Path) -> tuple[list[str], np.ndarray, np
     """The block ids, center indices and persons of an assignment.csv, in
     file order; the indices and persons as int64 arrays that own their data,
     so keeping them does not keep the file's id strings alive."""
-    rows = _load_rows(Path(path), lambda found: found == ASSIGNMENT_HEADER, _ASSIGNMENT_ROW)
+    rows = _load_rows(Path(path), ASSIGNMENT_HEADER, _ASSIGNMENT_ROW)
     if rows is not None and '"' not in "".join(rows["id"]):
         return rows["id"].tolist(), rows["c"].copy(), rows["p"].copy()
     rows = _read_csv_rows(
@@ -437,7 +427,7 @@ def read_trace_csv(path: str | Path) -> list[tuple[int, float, int, float]]:
     )
 
 
-def read_summary_json(path: str | Path) -> dict:
+def _read_json(path: str | Path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -445,14 +435,17 @@ def read_summary_json(path: str | Path) -> dict:
             raise DataError(f"{path}: invalid JSON: {exc}") from None
 
 
+def read_summary_json(path: str | Path) -> dict:
+    summary = _read_json(path)
+    if not isinstance(summary, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return summary
+
+
 def read_cells_json(path: str | Path) -> list[dict]:
     """The entries of a cells.json: objects, each with a ``ring`` that is a
     list of finite numeric [x, y] pairs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from None
+    payload = _read_json(path)
     if not isinstance(payload, list):
         raise DataError(f"{path}: expected a JSON array")
     for i, entry in enumerate(payload):

@@ -435,6 +435,50 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: summary.json: ") and "final_cost_scaled" in err
 
+    @pytest.mark.parametrize(
+        "key, change, code",
+        [
+            ("k", lambda k: k + 0.9, EXIT_INPUT),
+            ("k", str, EXIT_INPUT),
+            ("m", lambda m: 1, EXIT_VALIDATION),
+            ("m", lambda m: "x", EXIT_INPUT),
+            ("scale", repr, EXIT_INPUT),
+            ("threshold", repr, EXIT_INPUT),
+            ("iterations", float, EXIT_VALIDATION),
+        ],
+        ids=["k-float", "k-string", "m-one", "m-string", "scale-string", "threshold-string",
+             "iterations-float"],
+    )
+    def test_mistyped_or_inconsistent_summary_field_fails(
+        self, solved_dir, capsys, key, change, code
+    ):
+        """Each of these edits used to validate: no check read m, and int()
+        and float() coerced the rest."""
+        path = solved_dir / "summary.json"
+        summary = json.loads(path.read_text())
+        summary[key] = change(summary[key])
+        path.write_text(json.dumps(summary), encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == code
+        captured = capsys.readouterr()
+        if code == EXIT_INPUT:
+            assert captured.err.startswith(f"error: summary.json: {key} {summary[key]!r} is not ")
+        else:
+            line = "result-set structure" if key == "m" else "trace.csv matches the run"
+            assert re.search(rf"^FAIL {line}", captured.out, re.M)
+
+    def test_ring_one_ulp_off_fails(self, solved_dir, capsys):
+        """The rings are compared exactly: validate passed a ring moved by
+        up to 1e-9 of the blocks' diameter."""
+        cells = solved_dir / "cells.json"
+        payload = json.loads(cells.read_text())
+        i = next(i for i, entry in enumerate(payload) if entry["ring"])
+        x = payload[i]["ring"][1][0]
+        payload[i]["ring"][1][0] = math.nextafter(x, math.inf)
+        cells.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert f"FAIL cells.json matches recomputed diagram: entry {i}: ring differs\n" in out
+
     def test_last_trace_row_off_the_final_cost_fails(self, solved_dir, capsys):
         """One cost unit less on the last row keeps the trace nonincreasing
         and its cost cost_scaled x units_per_cost; only its match with

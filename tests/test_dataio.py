@@ -294,8 +294,13 @@ def reference_read_assignment(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != dataio.ASSIGNMENT_HEADER:
-            raise DataError(f"{path}: unexpected header {header}")
+        expected = dataio.ASSIGNMENT_HEADER
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if [h.strip() for h in header] != expected:
+            raise DataError(
+                f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}"
+            )
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -422,6 +427,63 @@ def test_assignment_columns_match_the_rows(tmp_path):
     p.write_text("block_id,center_index,persons_assigned\na,0,3\nb,x,1\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"assignment.csv:3: malformed row"):
         dataio.read_assignment_columns(p)
+
+
+# Every CSV districtor reads, through its public reader, and the header
+# small_run writes it with
+CSV_READERS = {
+    "blocks": (lambda p: read_blocks(p, k=3).ids, "block_id,x,y,population"),
+    "assignment": (
+        lambda p: dataio.read_assignment_columns(p)[0], "block_id,center_index,persons_assigned"
+    ),
+    "centers": (
+        lambda p: dataio.read_centers_csv(p)[0].tolist(), "index,x,y,weight,capacity,population"
+    ),
+    "trace": (dataio.read_trace_csv, "iteration,cost,cost_scaled,max_displacement"),
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_READERS))
+def test_every_csv_takes_the_block_files_header_rule(tmp_path, name):
+    """An empty file, a header padded with spaces and a wrong header read
+    alike in every CSV. An empty result-set CSV used to fail with
+    "unexpected header None", and a padded header was refused."""
+    read, header = CSV_READERS[name]
+    path = small_run(tmp_path)[3][name]
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith(header + "\n")
+    body = text[len(header):]
+    plain = read(path)
+    path.write_text(" " + " , ".join(header.split(",")) + " " + body, encoding="utf-8")
+    assert read(path) == plain
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(DataError) as empty:
+        read(path)
+    assert str(empty.value) == f"{path}: empty file"
+    path.write_text("x,y" + body, encoding="utf-8")
+    with pytest.raises(DataError) as wrong:
+        read(path)
+    assert str(wrong.value) == f"{path}: expected header {header!r}, got 'x,y'"
+
+
+@pytest.mark.parametrize(
+    "read, other, kind",
+    [(dataio.read_summary_json, "[]", "object"), (dataio.read_cells_json, "{}", "array")],
+    ids=["summary", "cells"],
+)
+def test_both_json_readers_name_the_file(tmp_path, read, other, kind):
+    """Both readers name the file of invalid JSON, and of a top-level value
+    of the wrong kind; a summary.json holding 5 used to exit 1 with "argument
+    of type 'int' is not iterable"."""
+    path = tmp_path / "file.json"
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(DataError) as invalid:
+        read(path)
+    assert str(invalid.value).startswith(f"{path}: invalid JSON: ")
+    path.write_text(other, encoding="utf-8")
+    with pytest.raises(DataError) as wrong:
+        read(path)
+    assert str(wrong.value) == f"{path}: expected a JSON {kind}"
 
 
 class TestProjection:
