@@ -120,8 +120,10 @@ def _block_instance(path: Path, ids, xs, ys, pops, k: int, lonlat: bool) -> Inst
         except DataError as exc:
             bad = int(np.argmax(np.abs(ys) >= MAX_ABS_LATITUDE))
             raise DataError(f"{path}: block {ids[bad]!r}: {exc}") from None
+    # the (n, 2) transpose of the (2, n) columns: the column-major layout Instance keeps
     return Instance(
-        ids=ids, locations=np.column_stack((xs, ys)), populations=pops, k=k, name=path.stem
+        ids=ids, locations=np.array((xs, ys), dtype=np.float64).T, populations=pops, k=k,
+        name=path.stem,
     )
 
 
@@ -228,13 +230,16 @@ def write_outputs(out_dir: str | Path, outputs: SolveOutputs) -> dict[str, Path]
     paths: dict[str, Path] = {}
 
     blocks_path = out / "blocks.csv"
-    locs, pops = inst.locations(), inst.populations()
+    xs, ys = inst.locations().T
+    pops = inst.populations()
     with open(blocks_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(PLANAR_HEADER) + "\n")
         for lo in range(0, inst.n_blocks, _WRITE_ROWS):
             hi = lo + _WRITE_ROWS
-            rows = zip(inst.ids[lo:hi], locs[lo:hi].tolist(), pops[lo:hi].tolist())
-            fh.write("".join(f"{block_id},{x!r},{y!r},{pop}\n" for block_id, (x, y), pop in rows))
+            rows = zip(
+                inst.ids[lo:hi], xs[lo:hi].tolist(), ys[lo:hi].tolist(), pops[lo:hi].tolist()
+            )
+            fh.write("".join(f"{block_id},{x!r},{y!r},{pop}\n" for block_id, x, y, pop in rows))
     paths["blocks"] = blocks_path
 
     ids = inst.ids
@@ -355,7 +360,7 @@ def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
             raise DataError(
                 f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _numbered(reader):
             if not row:
                 continue
             if len(row) != len(header):
@@ -369,6 +374,15 @@ def _read_csv_rows(path: str | Path, header: list[str], parse) -> list:
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed row") from None
     return rows
+
+
+def _numbered(reader):
+    """(line, record) for each further record of a ``csv.reader``: the line
+    the record starts on, which a quoted line break puts before its last."""
+    start = reader.line_num + 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
 
 
 def read_assignment_columns(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -69,6 +69,7 @@ def seed_centers(inst: Instance, k: int, seed: int | np.random.Generator) -> Cen
     distance to the nearest already-chosen center."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     locs = inst.locations()
+    x, y = locs.T
     pops = inst.populations().astype(np.float64)
     positive = int(np.count_nonzero(pops > 0))
     if k > positive:
@@ -77,7 +78,12 @@ def seed_centers(inst: Instance, k: int, seed: int | np.random.Generator) -> Cen
         )
     first = int(rng.choice(inst.n_blocks, p=pops / pops.sum()))
     chosen = [first]
-    d2 = np.sum((locs - locs[first]) ** 2, axis=1)
+
+    def sq_dist(i: int) -> np.ndarray:
+        dx, dy = x - x[i], y - y[i]
+        return dx * dx + dy * dy
+
+    d2 = sq_dist(first)
     while len(chosen) < k:
         mass = pops * d2
         total = mass.sum()
@@ -88,7 +94,7 @@ def seed_centers(inst: Instance, k: int, seed: int | np.random.Generator) -> Cen
             )
         nxt = int(rng.choice(inst.n_blocks, p=mass / total))
         chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((locs - locs[nxt]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq_dist(nxt))
     return CenterSet(
         positions=locs[chosen],
         capacities=balanced_capacities(inst.m, k),
@@ -118,8 +124,10 @@ def _guarded_positions(
     # The certified duals are tight on every positive-flow arc, so the cost
     # of an entry at its current center is exactly u[block] + v[center].
     now = sol.supply_potentials[asg.block_indices] + sol.demand_potentials[asg.center_indices]
+    # (e, 2) gathers built a column at a time, so their columns are contiguous
     moved = res.cost_model.paired_costs(
-        inst.locations()[asg.block_indices], candidate.positions[asg.center_indices]
+        np.take(inst.locations().T, asg.block_indices, axis=1).T,
+        np.take(candidate.positions.T, asg.center_indices, axis=1).T,
     )
 
     def cost_per_center(own: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 An :class:`Instance` is columnar and is the only representation of the
 blocks: a tuple of ids, an (n, 2) location array and an (n,) population
 array, row i of each describing block i, validated together when it is
-built. All types are immutable value data and safe to share across
+built. The locations are stored column-major, so the x and the y column
+are each contiguous, and every per-block pass reads them a column at a
+time. All types are immutable value data and safe to share across
 threads. Coordinates are dimensionless planar units (projection happens in
 :mod:`districtor.dataio` before an Instance is built).
 """
@@ -29,7 +31,9 @@ class Instance:
 
     Holds the block ids (a tuple of str), a read-only (n, 2) float64 array
     of locations and a read-only (n,) int64 array of populations, all in
-    file order. The constructor validates every block at once; instances
+    file order. The locations are column-major, the transpose of a
+    C-ordered (2, n) array: ``locations()[:, 0]`` and ``[:, 1]`` are
+    contiguous. The constructor validates every block at once; instances
     are not modified after construction.
 
     ``diameter`` is the diagonal of the blocks' bounding box. It must be 0
@@ -40,7 +44,7 @@ class Instance:
     def __init__(self, ids, locations, populations, k: int, name: str = "") -> None:
         ids = tuple(ids)
         n = len(ids)
-        locs = np.array(locations, dtype=np.float64)
+        locs = np.array(locations, dtype=np.float64, order="F")
         pops = np.asarray(populations)
         if locs.shape != (n, 2) or pops.shape != (n,):
             raise ModelError(
@@ -53,9 +57,10 @@ class Instance:
             dup = next(i for i, count in Counter(ids).items() if count > 1)
             raise ModelError(f"duplicate block id {dup!r}")
         pops = pops.astype(np.int64)
-        bad = ~np.isfinite(locs).all(axis=1)
-        if bad.any():
-            raise ModelError(f"block {ids[bad.argmax()]!r}: non-finite coordinates")
+        x, y = locs.T
+        finite = np.isfinite(x) & np.isfinite(y)
+        if not finite.all():
+            raise ModelError(f"block {ids[finite.argmin()]!r}: non-finite coordinates")
         if (pops < 0).any():
             raise ModelError(f"block {ids[(pops < 0).argmax()]!r}: negative population")
         if k < 1:
@@ -68,7 +73,6 @@ class Instance:
                 f"total population {m} is smaller than k={k}; "
                 "every district needs at least one resident"
             )
-        x, y = locs.T  # one column at a time: an axis-0 reduction is slower
         diameter = math.hypot(float(x.max() - x.min()), float(y.max() - y.min()))
         if diameter and not sys.float_info.min <= diameter * diameter <= sys.float_info.max:
             raise ModelError(
@@ -90,7 +94,8 @@ class Instance:
         return len(self.ids)
 
     def locations(self) -> np.ndarray:
-        """Block locations as a read-only (n, 2) float64 array, in file order."""
+        """Block locations as a read-only (n, 2) float64 array, in file order,
+        with contiguous columns."""
         return self._locations
 
     def populations(self) -> np.ndarray:
@@ -184,12 +189,12 @@ class BalancedAssignment:
         their totals, ``per_center_population(k)``; NaN for a center with none."""
         counts = totals.astype(np.float64)
         counts[counts == 0] = np.nan
-        locs = inst.locations()[self.block_indices]
         w = self.persons.astype(np.float64)
         # bincount adds in entry order, as a sequential sum would
         sums = np.column_stack(
-            [np.bincount(self.center_indices, weights=locs[:, i] * w, minlength=len(totals))
-             for i in (0, 1)]
+            [np.bincount(self.center_indices, weights=col.take(self.block_indices) * w,
+                         minlength=len(totals))
+             for col in inst.locations().T]
         )
         return sums / counts[:, None]
 
@@ -249,7 +254,7 @@ def assignment_cost(inst: Instance, centers: CenterSet, asg: BalancedAssignment)
     (``math.fsum``), so it depends neither on the entries' order nor on
     the BLAS kernel.
     """
-    locs = inst.locations()[asg.block_indices]
-    cpos = centers.positions[asg.center_indices]
-    d2 = np.sum((locs - cpos) ** 2, axis=1)
-    return math.fsum(asg.persons * d2)
+    (x, y), (cx, cy) = inst.locations().T, centers.positions.T
+    dx = x.take(asg.block_indices) - cx.take(asg.center_indices)
+    dy = y.take(asg.block_indices) - cy.take(asg.center_indices)
+    return math.fsum(asg.persons * (dx * dx + dy * dy))

@@ -113,6 +113,13 @@ class TestReadBlocks:
         with pytest.raises(DataError, match=r"blocks.csv:3: block_id .* holds a comma, quote"):
             read_blocks(p, k=1)
 
+    def test_line_numbers_count_lines_not_records(self, tmp_path):
+        # the quoted line break is part of a value float() accepts ("1\n")
+        p = tmp_path / "blocks.csv"
+        p.write_text('block_id,x,y,population\nb0,"1\n",2,3\nb1,1,2,x\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"blocks.csv:4: population 'x' is not an integer"):
+            read_blocks(p, k=1)
+
     def test_bad_row_deep_in_a_large_file_names_its_line(self, tmp_path):
         rows = [f"b{i},{i * 0.5!r},{-i * 0.25!r},{i % 7}" for i in range(6_000)]
         p = tmp_path / "blocks.csv"
@@ -124,6 +131,17 @@ class TestReadBlocks:
         write_csv(p, rows)
         with pytest.raises(DataError, match=r"blocks.csv:5001: population 'x' is not an integer"):
             read_blocks(p, k=1)
+
+
+def records_by_line(reader):
+    """(line number, record) for each further record of a csv.reader, where
+    the number is that of the line the record starts on."""
+    while True:
+        lineno = reader.line_num + 1
+        row = next(reader, None)
+        if row is None:
+            return
+        yield lineno, row
 
 
 def reference_read_blocks(path, lonlat):
@@ -141,7 +159,7 @@ def reference_read_blocks(path, lonlat):
                 f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}"
             )
         seen = set()
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records_by_line(reader):
             if not row:
                 continue
             where = f"{path}:{lineno}"
@@ -301,7 +319,7 @@ def reference_read_assignment(path):
             raise DataError(
                 f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records_by_line(reader):
             if not row:
                 continue
             if len(row) != 3:
