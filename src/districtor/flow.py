@@ -28,19 +28,22 @@ Specialized to instances with many supply nodes and few demand nodes
    paths in a compact demand-node graph whose arc (a, b) carries the
    cheapest relocation of one flow unit from demand node a to demand node
    b. A k x k table holds the current minimum of every arc and its
-   witness, the least-index supply node that achieves it; it is kept exact
-   in O(k) work per supply node that joins or leaves a demand node, from
-   lazily pruned heaps of relocation costs per ordered pair. One integer
-   bitset per demand node marks its tight arcs, those of zero reduced
-   cost. The search for an augmenting path walks only the bitsets and
-   reads no table entry. When it fails, a Dijkstra by distance levels
+   witness, the least-index supply node that achieves it. Its build
+   computes the relocation increments of every member of the greedy start,
+   which are kept until the flow is final: a supply node that joins a
+   demand node costs O(k) work, and a departing witness's arcs are re-read
+   by one argmin over the kept increments of its node, whose departed
+   members are masked, plus a scan of the few members that joined later.
+   One integer bitset per demand node marks its tight arcs, those of zero
+   reduced cost. The search for an augmenting path walks only the bitsets
+   and reads no table entry. When it fails, a Dijkstra by distance levels
    reprices from the set it reached: it reads the rows of the nodes it
    settles, at the nodes still outside only, and derives the new tight
    arcs from the arcs that achieved each distance. An augmentation moves
    the witnesses of its path's arcs, in rounds until the excess, the
-   deficit or a tight arc runs out. It reads no heap itself, so it costs
-   O(k) bitset steps plus the table's upkeep per moved supply node,
-   instead of a scan of all supply nodes.
+   deficit or a tight arc runs out. It searches no supply node itself, so
+   it costs O(k) bitset steps plus the table's upkeep per moved supply
+   node, instead of a scan of all supply nodes.
 3. Read-out. The repair writes its changes into the greedy start's array
    of demand nodes, which keeps the whole-node entries in supply order; the
    entries of the few split nodes are merged in at their supply positions.
@@ -59,7 +62,6 @@ solve.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +86,14 @@ _SWEEP_STOP = 32
 # tie floor; also set from counts: on the k = 53 benchmark run, a cap of 12
 # left 1,228 augmentations and 653 reprices, 24 leaves 1,076 and 496.
 _MAX_SWEEPS = 24
+
+# Cost magnitudes above this are rejected before the repair. The bound keeps
+# the relocation table's increments, C[y, b] - C[y, a], within 2**42, so the
+# int64 maximum that marks a departed member in _Solver.incs is never a real
+# increment; and it keeps the spread of the potentials, at most
+# 2(k - 1) * max_cost, within int64 in the read-out.
+_MAX_COST = 2**41
+_GONE = np.iinfo(np.int64).max
 
 
 class FlowError(ValueError):
@@ -170,12 +180,7 @@ class SolveStats:
 
     ``excess_before`` and ``excess_after`` are the total overfill of the
     greedy start (every block at its cheapest center under the potentials)
-    before and after the dual sweeps. The pair queues serve only the upkeep
-    of the relocation table: ``queue_reads`` counts reads of a queue's
-    minimum when a witness leaves its center, ``stale_pops`` the entries
-    dropped there because their block had left the pair's source center,
-    and ``heap_pushes`` the entries that joining blocks push onto the
-    queues' overflow heaps.
+    before and after the dual sweeps.
     ``table_reads`` counts the relocation-table entries that the searches
     read: the path search reads none, and a reprice reads the entries of
     each node it settles at the nodes outside.
@@ -187,9 +192,6 @@ class SolveStats:
     sweeps: int = 0
     excess_before: int = 0
     excess_after: int = 0
-    queue_reads: int = 0
-    stale_pops: int = 0
-    heap_pushes: int = 0
     table_reads: int = 0
     split_blocks: int = 0
 
@@ -450,48 +452,6 @@ def _dual_sweeps(
     return v, choice, received, stats
 
 
-class _PairQueue:
-    """Min-queue of packed (increment, supply index) keys for one ordered
-    demand-node pair (a, b): a sorted numpy backbone, plus a small overflow
-    heap for entries added later. The solver builds the backbone on the
-    pair's first read, from every supply node that has been a member of a
-    until then, so the many pairs that are never read cost nothing. Never
-    rewinds; items re-enter through the overflow heap.
-    """
-
-    __slots__ = ("static", "cursor", "extra")
-
-    def __init__(self, static_keys: np.ndarray):
-        self.static = static_keys  # sorted int64
-        self.cursor = 0
-        self.extra: list[int] = []
-
-    def push(self, key: int) -> None:
-        heapq.heappush(self.extra, key)
-
-    def peek_min(self) -> int | None:
-        s = self.static
-        c = self.cursor
-        e = self.extra
-        if c < len(s):
-            sk = int(s[c])
-            if e and e[0] < sk:
-                return e[0]
-            return sk
-        return e[0] if e else None
-
-    def pop_min(self) -> int:
-        s = self.static
-        c = self.cursor
-        e = self.extra
-        if c < len(s):
-            sk = int(s[c])
-            if not e or sk <= e[0]:
-                self.cursor = c + 1
-                return sk
-        return heapq.heappop(e)
-
-
 class _Solver:
     """Successive shortest paths on the demand-node residual graph, from
     the greedy start under dual-swept potentials.
@@ -506,10 +466,11 @@ class _Solver:
     _depart keep it where rel changes, and _reprice where v changes; the
     searches read the bitsets, never the table, to find tight arcs.
 
-    The pair queues serve only the table's upkeep, and so do the counts
-    queue_reads, stale_pops and heap_pushes: _front reads a queue when a
-    witness departs, and _enroll pushes a joining member's entries. _push
-    reads no queue; it moves the table's witnesses.
+    The table's upkeep gathers no member twice: incs[a] keeps the
+    increments of the greedy start's members of a, which the table's build
+    computes, and _depart re-reads a departed witness's arcs from them, one
+    argmin per arc, and from the few later members in joined[a]. _push
+    moves the table's witnesses.
 
     The flow is one record per supply node y: base[y], the demand node
     that holds all of supplies[y], or -1 when y has no supply or is split;
@@ -519,8 +480,7 @@ class _Solver:
 
     def __init__(self, inst: TransshipmentInstance, warm_potentials: np.ndarray | None):
         self.C = inst.costs
-        n, k = self.C.shape
-        self.k = k
+        self.k = k = self.C.shape[1]
         if warm_potentials is None:
             v0 = np.zeros(k, dtype=np.int64)
         else:
@@ -529,13 +489,9 @@ class _Solver:
                 raise FlowError("warm potentials must have one entry per demand node")
             if _magnitude(v0) > 2**61:
                 raise OverflowRiskError("warm potentials too large for exact arithmetic")
-        # Pack heap entries as increment * _pack + supply index so plain int
-        # heaps order by (increment, index). Keys must fit int64 during the
-        # vectorized build.
-        self._pack = 1 << max(20, n.bit_length() + 1)
-        if 2 * inst.max_cost > (2**62) // self._pack:
+        if inst.max_cost > _MAX_COST:
             raise OverflowRiskError(
-                "cost magnitudes too large for the relocation index; "
+                "cost magnitudes too large for the relocation table; "
                 "lower the cost scaling"
             )
 
@@ -549,9 +505,6 @@ class _Solver:
         self.received: list[int] = received_np.tolist()
         self.augmentations = 0
         self.reprices = 0
-        self.queue_reads = 0
-        self.stale_pops = 0
-        self.heap_pushes = 0
         self.table_reads = 0
 
         # rel[a][b]: the cheapest relocation increment C[y, b] - C[y, a] over
@@ -559,32 +512,34 @@ class _Solver:
         # member that achieves it; None when a has no member, and on the
         # diagonal. The searches read this k x k table and _push moves its
         # witnesses; _enroll and _depart keep it exact.
-        # start[a]: the members of a in the greedy start; joined[a]: the
-        # supply nodes that became members of a later, departed ones
-        # included. See _front. tight[a]: the bitset of the tight arcs of
-        # row a; reach: the nodes the last failed path search reached.
+        # start[a]: the members of a in the greedy start, ascending; incs[a]:
+        # their increments, column j the C[y, b] - C[y, a] of y = start[a][j],
+        # or _GONE in every row while y is not a member of a. joined[a]: the
+        # other members of a, in the order they joined. tight[a]: the bitset
+        # of the tight arcs of row a; reach: the nodes the last failed path
+        # search reached.
         self.rel: list[list[int | None]] = []
         self.wit: list[list[int | None]] = []
         self.tight: list[int] = []
         self.reach = 0
         v = self.v
         self.start: list[np.ndarray] = []
+        self.incs: list[np.ndarray] = []
         self.joined: list[list[int]] = [[] for _ in range(k)]
         cols = np.arange(k)
         for a in range(k):
             ids = np.flatnonzero(self.base == a)
+            # gathered one column at a time; they fit int64 by _MAX_COST
+            inc = np.take(self.C.T, ids, axis=1)
+            inc -= inc[a]
             self.start.append(ids)
+            self.incs.append(inc)
             if ids.size == 0:
                 self.rel.append([None] * k)
                 self.wit.append([None] * k)
                 self.tight.append(0)
                 continue
-            # inc[b]: the members' increments C[y, b] - C[y, a], gathered one
-            # column at a time; |C| <= 2**41 by the pack-key guard, so they
-            # fit int64
-            inc = np.take(self.C.T, ids, axis=1)
-            inc -= inc[a]
-            # argmin takes the lowest supply index on ties, as the keys do
+            # argmin takes the lowest supply index on ties
             best = inc.argmin(axis=1)
             rel = inc[cols, best].tolist()
             wit = ids[best].tolist()
@@ -595,10 +550,6 @@ class _Solver:
             self.tight.append(
                 sum(1 << b for b, r in enumerate(rel) if r is not None and r + va == v[b])
             )
-        # queues[a][b]: packed (C[y, b] - C[y, a], y) entries over members y
-        # of a, built on first use. Entries of departed members are pruned
-        # lazily when they reach the front.
-        self.queues: list[list[_PairQueue | None]] = [[None] * k for _ in range(k)]
 
     # -- flow bookkeeping -------------------------------------------------
 
@@ -610,21 +561,23 @@ class _Solver:
 
     def _enroll(self, y: int, x: int) -> None:
         """Record new member y of x: lower the row x minima it beats, mark
-        those it makes tight, take over as witness where it ties a minimum
-        with a lower index, and add its entries to the pair queues of x that
-        are built already."""
-        self.joined[x].append(y)
+        those it makes tight, and take over as witness where it ties a
+        minimum with a lower index. A greedy-start member of x gets its
+        column of incs[x] back; any other joins joined[x]."""
         C = self.C
-        incs = (C[y] - C[y, x]).tolist()
-        pack = self._pack
+        row = (C[y] - C[y, x]).tolist()
+        j = self._start_column(y, x)
+        if j < 0:
+            self.joined[x].append(y)
+        else:
+            self.incs[x][:, j] = row
         rel = self.rel[x]
         wit = self.wit[x]
-        queues = self.queues[x]
         v = self.v
         vx = v[x]
         # a lowered minimum was not tight before, as reduced costs are >= 0
         tight = 0
-        for b, inc in enumerate(incs):
+        for b, inc in enumerate(row):
             if b == x:
                 continue
             r = rel[b]
@@ -633,29 +586,56 @@ class _Solver:
                 wit[b] = y
                 if inc + vx == v[b]:
                     tight |= 1 << b
-            queue = queues[b]
-            if queue is not None:
-                queue.push(inc * pack + y)
-                self.heap_pushes += 1
         self.tight[x] |= tight
 
     def _depart(self, y: int, x: int) -> None:
-        """Re-read the row x minima that y, no longer a member of x, achieved,
-        and unmark those that rise above tight."""
+        """Retire y, no longer a member of x, and re-read the row x minima
+        it achieved, unmarking those that rise above tight. Each is the
+        least (increment, index) over the live columns of incs[x], by one
+        argmin, and over joined[x]."""
+        joined = self.joined[x]
+        j = self._start_column(y, x)
+        if j < 0:
+            joined.remove(y)
+        else:
+            self.incs[x][:, j] = _GONE
         wit = self.wit[x]
         if y not in wit:
             return
+        C = self.C
+        start = self.start[x]
+        incs = self.incs[x]
+        if joined:
+            ids = np.array(joined)
+            cx = C[ids, x]
         rel = self.rel[x]
         v = self.v
         vx = v[x]
         tight = self.tight[x]
         for b in range(self.k):
-            if wit[b] == y:
-                r, wit[b] = self._front(x, b)
-                rel[b] = r
-                if r is None or r + vx != v[b]:
-                    tight &= ~(1 << b)
+            if wit[b] != y:
+                continue
+            best = None
+            if start.size:
+                i = int(incs[b].argmin())
+                if incs.item(b, i) != _GONE:
+                    best = (incs.item(b, i), start.item(i))
+            if joined:
+                inc = C[ids, b] - cx
+                r = int(inc.min())
+                here = (r, int(ids[inc == r].min()))
+                if best is None or here < best:
+                    best = here
+            rel[b], wit[b] = best or (None, None)
+            if best is None or best[0] + vx != v[b]:
+                tight &= ~(1 << b)
         self.tight[x] = tight
+
+    def _start_column(self, y: int, x: int) -> int:
+        """y's column of incs[x] when y is in the greedy start of x, else -1."""
+        start = self.start[x]
+        j = int(start.searchsorted(y))
+        return j if j < start.size and start.item(j) == y else -1
 
     def _move(self, y: int, a: int, b: int, q: int) -> None:
         """Move q units of y's flow from a to b. y leaves a when no flow is
@@ -677,31 +657,6 @@ class _Solver:
             self._enroll(y, b)
         self.received[a] -= q
         self.received[b] += q
-
-    def _front(self, a: int, b: int) -> tuple[int | None, int | None]:
-        """Cheapest relocation increment from a to b and the member that
-        achieves it (lowest index on ties), pruning stale entries. The (a, b)
-        pair queue is built on first use from every supply node that has
-        been a member of a until then."""
-        queue = self.queues[a][b]
-        pack = self._pack
-        if queue is None:
-            ids = self.start[a]
-            if self.joined[a]:
-                ids = np.concatenate([ids, self.joined[a]])
-            keys = (self.C[ids, b] - self.C[ids, a]) * pack + ids
-            keys.sort()
-            queue = self.queues[a][b] = _PairQueue(keys)
-        while True:
-            key = queue.peek_min()
-            self.queue_reads += 1
-            if key is None:
-                return None, None
-            y = key % pack
-            if self.flow_at(y, a) > 0:
-                return (key - y) // pack, y
-            queue.pop_min()
-            self.stale_pops += 1
 
     # -- shortest paths on the demand-node graph --------------------------
 
@@ -867,10 +822,10 @@ class _Solver:
                     break
                 self._push(path)
             if self.received == self.demands:
-                # The flow is final. Free the members and pair queues, up to
-                # an int64 per supply node and pair, before the read-out.
+                # The flow is final. Free the members and their increments,
+                # up to k + 1 int64 per supply node, before the read-out.
                 self.start.clear()
-                self.queues.clear()
+                self.incs.clear()
                 return
             guard -= 1
             if guard < 0:
@@ -920,9 +875,6 @@ class _Solver:
             self.sweep_stats,
             augmentations=self.augmentations,
             reprices=self.reprices,
-            queue_reads=self.queue_reads,
-            stale_pops=self.stale_pops,
-            heap_pushes=self.heap_pushes,
             table_reads=self.table_reads,
             split_blocks=len(self.split),
         )

@@ -12,6 +12,7 @@ threads. Coordinates are dimensionless planar units (projection happens in
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from collections import Counter
@@ -20,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import SolveStats
+
+# assignment_cost converts its terms to Python floats this many at a time,
+# the chunk that dataio's writers convert their rows in
+_SUM_CHUNK = 2**13
 
 
 class ModelError(ValueError):
@@ -257,4 +262,11 @@ def assignment_cost(inst: Instance, centers: CenterSet, asg: BalancedAssignment)
     (x, y), (cx, cy) = inst.locations().T, centers.positions.T
     dx = x.take(asg.block_indices) - cx.take(asg.center_indices)
     dy = y.take(asg.block_indices) - cy.take(asg.center_indices)
-    return math.fsum(asg.persons * (dx * dx + dy * dy))
+    terms = asg.persons * (dx * dx + dy * dy)
+    # fsum reads Python floats faster than numpy scalars; converting the
+    # terms a chunk at a time keeps one chunk's floats alive, not n of them
+    return math.fsum(
+        itertools.chain.from_iterable(
+            terms[lo : lo + _SUM_CHUNK].tolist() for lo in range(0, terms.shape[0], _SUM_CHUNK)
+        )
+    )

@@ -495,10 +495,6 @@ class TestPinnedCounts:
         assert (s.augmentations, s.reprices, s.sweeps) == (951, 940, 24)
         assert (s.excess_before, s.excess_after) == (9_173, 3_858)
         assert res.flow_solution.objective == 640_369_823_784
-        # peeking every pair on every search read a queue minimum 2,929,564
-        # times; with the table only pushes and departing witnesses read
-        # one (69,704; 63,824 since every sweep is kept)
-        assert s.queue_reads <= 100_000
 
     def test_lloyd_iterations(self):
         result = run(self.instance(), LloydConfig(seed=0, max_iterations=5))

@@ -40,7 +40,7 @@ class TestValidation:
         inst = flow.TransshipmentInstance(
             costs=[[2**45, 0], [0, 2**45]], supplies=[1, 1], demands=[1, 1]
         )
-        with pytest.raises(flow.OverflowRiskError):
+        with pytest.raises(flow.OverflowRiskError, match="relocation table"):
             flow.solve_mcf(inst)
 
     def test_rejects_huge_warm_potentials(self):
@@ -448,17 +448,17 @@ class TestDualSweeps:
             assert stats == stats_a
 
 
-# Below 2**19 supply nodes, keys pack as increment * 2**20 + index, so
-# costs up to 2**41 in magnitude are the largest the relocation index takes.
-PACK_BOUND = 2**41
+# Costs up to 2**41 in magnitude are the largest the relocation table takes
+# (flow._MAX_COST), at any number of supply nodes.
+MAX_COST = 2**41
 EDGE_POTENTIALS = np.array([-(2**61), 2**61], dtype=np.int64)
 
 
 def bound_instance(rng, n, k, max_supply=30):
     """Random costs in [-2**41, 2**41] with both extremes present."""
-    costs = rng.integers(-PACK_BOUND, PACK_BOUND + 1, size=(n, k))
-    costs[0, 0] = PACK_BOUND
-    costs[-1, -1] = -PACK_BOUND
+    costs = rng.integers(-MAX_COST, MAX_COST + 1, size=(n, k))
+    costs[0, 0] = MAX_COST
+    costs[-1, -1] = -MAX_COST
     supplies = rng.integers(0, max_supply, size=n)
     supplies[0] += 1
     total = int(supplies.sum())
@@ -522,9 +522,9 @@ class TestOverflowEdges:
 
     def test_one_past_the_pack_bound_rejected(self):
         inst = flow.TransshipmentInstance(
-            costs=[[PACK_BOUND + 1, 0], [0, 0]], supplies=[1, 1], demands=[1, 1]
+            costs=[[MAX_COST + 1, 0], [0, 0]], supplies=[1, 1], demands=[1, 1]
         )
-        with pytest.raises(flow.OverflowRiskError, match="relocation index"):
+        with pytest.raises(flow.OverflowRiskError, match="relocation table"):
             flow.solve_mcf(inst)
 
     @pytest.mark.parametrize(

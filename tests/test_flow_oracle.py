@@ -164,7 +164,10 @@ class _CheckedSolver(flow._Solver):
         entry holds two or more positive amounts. rel[a][b] is the least
         C[y, b] - C[y, a] over the members y of a, by brute force, and
         wit[a][b] is the least-index member that achieves it: the block
-        that _push moves first on a tight arc."""
+        that _push moves first on a tight arc. The columns of incs[a] not
+        at _GONE are exactly those of the greedy-start members that still
+        hold flow at a, and each holds that member's increments; joined[a]
+        holds every other member of a, once."""
         self.checks += 1
         C = self.C
         n, k = C.shape
@@ -176,6 +179,14 @@ class _CheckedSolver(flow._Solver):
             assert len(amounts) >= 2 and min(amounts.values()) > 0
         for a in range(k):
             members = np.flatnonzero(flows[:, a] > 0)
+            start, incs = self.start[a], self.incs[a]
+            live = np.all(incs != flow._GONE, axis=0)
+            assert np.all(live | np.all(incs == flow._GONE, axis=0))
+            assert start[live].tolist() == np.intersect1d(start, members).tolist()
+            assert np.array_equal(
+                incs[:, live], (C[start[live]] - C[start[live], a, None]).T
+            )
+            assert sorted(self.joined[a]) == np.setdiff1d(members, start).tolist()
             assert self.rel[a][a] is None and self.wit[a][a] is None
             for b in range(k):
                 if b == a:

@@ -6,7 +6,9 @@ peak below is the same on every run. The bounds hold one cost matrix of
 matrix in row blocks, the writer converts its rows in chunks, and Lloyd's
 iteration keeps only the centers and warm potentials of the last solve.
 Measured before those changes: int_costs 16.0 MiB, lloyd.run 21.4 MiB
-(4.0 matrices), write_outputs 13.1 MiB.
+(4.0 matrices), write_outputs 13.1 MiB. The last test bounds a long k = 53
+repair, whose k x k relocation table weighs about as much as its cost
+matrix at 500 blocks.
 """
 
 import tracemalloc
@@ -14,8 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from districtor import dataio, geometry, lloyd
+from districtor import dataio, flow, geometry, lloyd
 from districtor.assignment import ScaledCostPolicy, cost_model_for
+from districtor.model import balanced_capacities
 from tests.conftest import gaussian_instance
 
 MIB = 2**20
@@ -77,3 +80,18 @@ def test_write_outputs_converts_rows_in_chunks(state, traced_run, tmp_path):
     )
     _, peak = traced_peak(dataio.write_outputs, tmp_path, outputs)
     assert peak <= 7 * MIB
+
+
+def test_cold_k53_repair_holds_no_per_pair_state():
+    """The sweep buffer and the increments the repair keeps are one cost
+    matrix each and never live at once; with the k x k relocation table the
+    solve peaks at 2.1 matrices here. The per-pair queues of relocation
+    costs that the repair kept before peaked at 4.05."""
+    k = 53
+    inst = gaussian_instance(0, n=500, m=15_000, k=k)
+    centers = lloyd.seed_centers(inst, k, 0).positions
+    costs = cost_model_for(inst, ScaledCostPolicy()).int_costs(inst.locations(), centers)
+    trans = flow.TransshipmentInstance(costs, inst.populations(), balanced_capacities(inst.m, k))
+    sol, peak = traced_peak(flow.solve_mcf, trans)
+    assert sol.stats.augmentations > 300  # a long repair
+    assert peak <= 3 * costs.nbytes
