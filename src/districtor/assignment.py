@@ -126,8 +126,8 @@ class ScaledSolveResult:
 
     assignment: BalancedAssignment
     # Power weights from the LP duals, original squared-distance units,
-    # minimum 0. Each positive-flow pair's weighted squared distance to its
-    # center is least among all centers, up to consistency_tolerance().
+    # minimum 0: whole cost units, in which each positive-flow pair's
+    # weighted cost at its center is exactly least among all centers.
     weights: PowerWeights
     cost_model: CostModel
     flow_solution: flow.FlowSolution  # .objective is the exact scaled cost

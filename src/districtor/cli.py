@@ -256,8 +256,7 @@ def _certificate_failure(inst, centers, asg, weights, model, objective: int) -> 
     v = v.astype(np.int64)
     try:
         costs = model.int_costs(inst.locations(), centers.positions)
-        u = flow.supply_potentials(costs, v)
-        sol = flow.FlowSolution(asg.block_indices, asg.center_indices, asg.persons, u, v, objective)
+        sol = flow.FlowSolution(asg.block_indices, asg.center_indices, asg.persons, v, objective)
         flow.certify(flow.TransshipmentInstance(costs, inst.populations(), centers.capacities), sol)
     except flow.FlowError as exc:
         return str(exc)

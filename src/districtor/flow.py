@@ -47,12 +47,12 @@ Specialized to instances with many supply nodes and few demand nodes
 3. Read-out. The repair writes its changes into the greedy start's array
    of demand nodes, which keeps the whole-node entries in supply order; the
    entries of the few split nodes are merged in at their supply positions.
-   No entry is sorted. The supply potentials are read off the entries'
-   tight arcs by one gather; only the rows with no supply take a minimum
-   over the k columns.
-4. Certification. :func:`certify` re-checks conservation, the objective,
-   dual feasibility and complementary slackness. ``solve_balanced`` runs it
-   on every solve, and ``cli.cmd_validate`` on a result set read back.
+   No entry is sorted. One gather of the entries' costs gives the objective.
+4. Certification. The demand potentials alone certify the flow: it is
+   optimal iff every entry's reduced cost is its row's least, the supply
+   potential that one pass over the k columns derives. :func:`certify`
+   re-checks that, conservation and the objective. ``solve_balanced`` runs
+   it on every solve, and ``cli.cmd_validate`` on a result set read back.
 
 All arithmetic is on Python integers or int64 arrays, so the optimality
 certificate holds exactly. :class:`SolveStats` counts the work of each
@@ -198,17 +198,16 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Integral optimal flow plus exact dual potentials.
+    """Integral optimal flow plus exact demand potentials.
 
-    Entries are sorted by (supply index, demand index). For every arc,
-    ``supply_potentials[y] <= costs[y, x] - demand_potentials[x]`` and the
-    inequality is tight on every positive-flow arc.
+    Entries are sorted by (supply index, demand index). Each entry's reduced
+    cost ``costs[y, x] - demand_potentials[x]`` is its row's least, the
+    supply potential of row y (see :func:`supply_potentials`).
     """
 
     supply_idx: np.ndarray  # (e,) int64
     demand_idx: np.ndarray  # (e,) int64
     amounts: np.ndarray  # (e,) int64, positive
-    supply_potentials: np.ndarray  # (n,) int64
     demand_potentials: np.ndarray  # (k,) int64
     objective: int
     stats: SolveStats = SolveStats()
@@ -231,44 +230,53 @@ def solve_mcf(
 def certify(inst: TransshipmentInstance, sol: FlowSolution) -> None:
     """Raise FlowError unless the solution is exactly feasible and optimal.
 
-    Checks conservation at every node, the recomputed objective, dual
-    feasibility, and complementary slackness, all in integer arithmetic.
+    Checks the entries' lengths and indices, conservation at every node, the
+    objective, and optimality: each entry's reduced cost is its row's least,
+    so the row minima are supply potentials that are feasible and tight on
+    every entry (complementary slackness). All in integer arithmetic.
     """
-    if np.any(sol.amounts <= 0):
+    ys, xs, amounts, v = sol.supply_idx, sol.demand_idx, sol.amounts, sol.demand_potentials
+    if v.shape != (inst.n_demand,) or not ys.shape == xs.shape == amounts.shape == (ys.size,):
+        raise FlowError("certificate: entry or potential arrays of the wrong lengths")
+    for side, idx, size in (("supply", ys, inst.n_supply), ("demand", xs, inst.n_demand)):
+        if idx.size and not 0 <= int(idx.min()) <= int(idx.max()) < size:
+            raise FlowError(f"certificate: {side} index outside [0, {size})")
+    if np.any(amounts <= 0):
         raise FlowError("certificate: nonpositive flow entry")
     sent = np.zeros(inst.n_supply, dtype=np.int64)
-    np.add.at(sent, sol.supply_idx, sol.amounts)
+    np.add.at(sent, ys, amounts)
     if not np.array_equal(sent, inst.supplies):
         raise FlowError("certificate: supply conservation violated")
     recv = np.zeros(inst.n_demand, dtype=np.int64)
-    np.add.at(recv, sol.demand_idx, sol.amounts)
+    np.add.at(recv, xs, amounts)
     if not np.array_equal(recv, inst.demands):
         raise FlowError("certificate: demand conservation violated")
-    arc_costs = inst.costs[sol.supply_idx, sol.demand_idx]
-    objective = int(np.dot(sol.amounts, arc_costs))
+    arc_costs = inst.costs[ys, xs]
+    objective = int(np.dot(amounts, arc_costs))
     if objective != sol.objective:
         raise FlowError(
             f"certificate: objective mismatch, reported {sol.objective}, "
             f"recomputed {objective}"
         )
-    u, v = sol.supply_potentials, sol.demand_potentials
-    if np.any(u > supply_potentials(inst.costs, v)):
-        raise FlowError("certificate: dual infeasible")
-    if not np.array_equal(arc_costs - v[sol.demand_idx], u[sol.supply_idx]):
-        raise FlowError("certificate: complementary slackness violated")
+    least = supply_potentials(inst.costs, v)[ys]
+    reduced = np.subtract(arc_costs, v[xs], out=arc_costs)
+    loose = np.flatnonzero(reduced != least)
+    if loose.size:
+        e = int(loose[0])
+        raise FlowError(
+            f"certificate: not optimal: entry (supply {int(ys[e])}, demand {int(xs[e])}) "
+            f"has reduced cost {int(reduced[e])} above its row's least {int(least[e])}"
+        )
 
 
-def supply_potentials(
-    costs: np.ndarray, demand_potentials: np.ndarray, rows: np.ndarray | slice = slice(None)
-) -> np.ndarray:
+def supply_potentials(costs: np.ndarray, demand_potentials: np.ndarray) -> np.ndarray:
     """Each supply row's least reduced cost, min over x of costs[y, x] -
     demand_potentials[x]: the supply potentials that make the dual feasible
-    and tight at each row's cheapest arcs; of the given rows only, by
-    default all. One column at a time: a min along the short axis of the
-    costs is slower."""
-    z = costs[rows, 0] - demand_potentials[0]
+    and tight at each row's cheapest arcs. One column at a time: a min
+    along the short axis of the costs is slower."""
+    z = costs[:, 0] - demand_potentials[0]
     for x in range(1, demand_potentials.shape[0]):
-        np.minimum(z, costs[rows, x] - demand_potentials[x], out=z)
+        np.minimum(z, costs[:, x] - demand_potentials[x], out=z)
     return z
 
 
@@ -857,20 +865,10 @@ class _Solver:
             amounts = np.insert(amounts, at, parts[:, 2])
 
         # Normalize potentials so min(v) = 0; shifting all demand potentials
-        # by a constant preserves feasibility and slackness.
+        # by a constant preserves optimality.
         vmin = min(self.v)
         v = np.array([x - vmin for x in self.v], dtype=np.int64)
-        reduced = self.C[supply_idx, demand_idx]
-        objective = int(np.dot(amounts, reduced))
-        # Every flow arc is tight, so a row with supply has its potential on
-        # its own entries, one gather instead of a pass over the k columns;
-        # certify's one full pass checks that no arc of the row is cheaper.
-        # A row without supply has no entry and takes its least reduced cost.
-        u = np.empty(self.C.shape[0], dtype=np.int64)
-        u[supply_idx] = np.subtract(reduced, v[demand_idx], out=reduced)
-        idle = np.flatnonzero(self.supplies == 0)
-        if idle.size:
-            u[idle] = supply_potentials(self.C, v, idle)
+        objective = int(np.dot(amounts, self.C[supply_idx, demand_idx]))
         stats = dataclasses.replace(
             self.sweep_stats,
             augmentations=self.augmentations,
@@ -882,7 +880,6 @@ class _Solver:
             supply_idx=supply_idx,
             demand_idx=demand_idx,
             amounts=amounts,
-            supply_potentials=u,
             demand_potentials=v,
             objective=objective,
             stats=stats,

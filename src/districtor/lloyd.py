@@ -120,22 +120,20 @@ def _guarded_positions(
     """Per center, accept the centroid only if the scaled integer cost of the
     fixed assignment strictly drops; otherwise keep the current position."""
     asg = res.assignment
-    sol = res.flow_solution
-    # The certified duals are tight on every positive-flow arc, so the cost
-    # of an entry at its current center is exactly u[block] + v[center].
-    now = sol.supply_potentials[asg.block_indices] + sol.demand_potentials[asg.center_indices]
-    # (e, 2) gathers built a column at a time, so their columns are contiguous
-    moved = res.cost_model.paired_costs(
-        np.take(inst.locations().T, asg.block_indices, axis=1).T,
-        np.take(candidate.positions.T, asg.center_indices, axis=1).T,
-    )
+    # Both sides are priced by paired_costs, which has the bits of int_costs,
+    # over one gather of the block locations: (e, 2) gathers built a column
+    # at a time, so their columns are contiguous.
+    locs = np.take(inst.locations().T, asg.block_indices, axis=1).T
 
-    def cost_per_center(own: np.ndarray) -> np.ndarray:
+    def cost_per_center(positions: np.ndarray) -> np.ndarray:
+        own = res.cost_model.paired_costs(
+            locs, np.take(positions.T, asg.center_indices, axis=1).T
+        )
         totals = np.zeros(current.k, dtype=np.int64)
         np.add.at(totals, asg.center_indices, asg.persons * own)
         return totals
 
-    accept = cost_per_center(moved) < cost_per_center(now)
+    accept = cost_per_center(candidate.positions) < cost_per_center(current.positions)
     return np.where(accept[:, None], candidate.positions, current.positions)
 
 

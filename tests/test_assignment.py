@@ -303,7 +303,8 @@ class TestSolveStats:
 
 class TestSolveFingerprint:
     """SHA-256 of the entries, both potential vectors and the objective of
-    cold solves, measured before the dual sweeps stopped gathering the rows
+    cold solves (the supply potentials as the row minima of the reduced
+    costs), measured before the dual sweeps stopped gathering the rows
     with supply and stopped using masked passes. A change that moves any
     answer of the solver fails here; one that means to must re-measure the
     hashes and record the old and new values in CHANGES.md."""
@@ -317,13 +318,13 @@ class TestSolveFingerprint:
     ]
 
     @staticmethod
-    def fingerprint(sol: flow.FlowSolution) -> str:
+    def fingerprint(costs: np.ndarray, sol: flow.FlowSolution) -> str:
         h = hashlib.sha256()
         for a in (
             sol.supply_idx,
             sol.demand_idx,
             sol.amounts,
-            sol.supply_potentials,
+            flow.supply_potentials(costs, sol.demand_potentials),
             sol.demand_potentials,
         ):
             h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
@@ -336,8 +337,10 @@ class TestSolveFingerprint:
     def test_cold_solve_answers_repeat(self, shape, digest):
         seed, n, m, k = shape
         inst = gaussian_instance(seed, n=n, m=m, k=k)
-        sol = solve_balanced(inst, seed_centers(inst, k, 0)).flow_solution
-        assert self.fingerprint(sol) == digest
+        centers = seed_centers(inst, k, 0)
+        res = solve_balanced(inst, centers)
+        costs = res.cost_model.int_costs(inst.locations(), centers.positions)
+        assert self.fingerprint(costs, res.flow_solution) == digest
 
     GRID_PINNED = [
         (0, "267ed867b974d26b31d39b7be0c86be1e69459529b3e074e037b7bd3f3c6852c", (44, 8, 944)),
@@ -355,7 +358,7 @@ class TestSolveFingerprint:
         reads, when each hop walked its pair queue."""
         inst, _ = grid_transshipment(seed, n=1_000, side=6, k=23)
         sol = flow.solve_mcf(inst)
-        assert self.fingerprint(sol) == digest
+        assert self.fingerprint(inst.costs, sol) == digest
         s = sol.stats
         assert (s.augmentations, s.reprices, s.table_reads) == counts
 
@@ -385,7 +388,7 @@ class TestShiftedCosts:
     supplies @ c + demands @ d. The shift moves the sweeps, the greedy start
     and the repair onto another path, so this checks the answer by a second
     route at the sizes of the benchmark: the shifted solution, its
-    potentials mapped back as u - c and v - d, must certify on the original
+    demand potentials mapped back as v - d, must certify on the original
     instance. Shifts of up to 10**8 keep the costs inside both guards. The
     last case has the size of the statewide benchmark run."""
 
@@ -409,7 +412,6 @@ class TestShiftedCosts:
         assert moved.objective == sol.objective + offset
         back = dataclasses.replace(
             moved,
-            supply_potentials=moved.supply_potentials - c,
             demand_potentials=moved.demand_potentials - d,
             objective=moved.objective - offset,
         )
@@ -440,12 +442,7 @@ class TestPermutedAndSplitRows:
         moved = self.solve(permuted, warm)
         assert moved.objective == sol.objective
         # row i of the permuted instance is row perm[i] of the original
-        u = np.empty_like(moved.supply_potentials)
-        u[perm] = moved.supply_potentials
-        flow.certify(
-            inst,
-            dataclasses.replace(moved, supply_idx=perm[moved.supply_idx], supply_potentials=u),
-        )
+        flow.certify(inst, dataclasses.replace(moved, supply_idx=perm[moved.supply_idx]))
 
     @pytest.mark.parametrize("name", RELATION_CASES)
     def test_split_rows_keep_the_optimum(self, name):
@@ -471,7 +468,6 @@ class TestPermutedAndSplitRows:
             dataclasses.replace(
                 moved,
                 supply_idx=np.append(np.arange(n), big)[moved.supply_idx],
-                supply_potentials=moved.supply_potentials[:n],
             ),
         )
 

@@ -406,6 +406,27 @@ class TestValidate:
         out = capsys.readouterr().out
         assert re.search(r"^FAIL optimality certificate \(exact\): certificate: ", out, re.M)
 
+    def test_certificate_line_names_the_entry_off_its_row_minimum(self, solved_dir, capsys):
+        """10**11 cost units on center 0's weight, beyond any spread of the
+        costs and weights, make it every block's cheapest center: the line
+        names the first assignment row at another center, by its block's row
+        in blocks.csv and its center."""
+        unit = cost_unit(solved_dir)
+        path = solved_dir / "centers.csv"
+        raise_weight = _set_center_field(3, lambda w: repr((round(float(w) / unit) + 10**11) * unit))
+        path.write_text(raise_weight(path.read_text()), encoding="utf-8")
+        ids = [line.split(",")[0] for line in
+               (solved_dir / "blocks.csv").read_text().splitlines()[1:]]
+        rows = [line.split(",") for line in
+                (solved_dir / "assignment.csv").read_text().splitlines()[1:]]
+        block, center = next((r[0], r[1]) for r in rows if r[1] != "0")
+        assert main(["validate", "--dir", str(solved_dir)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        line = (rf"^FAIL optimality certificate \(exact\): certificate: not optimal: entry "
+                rf"\(supply {ids.index(block)}, demand {center}\) has reduced cost -?\d+ "
+                rf"above its row's least -?\d+$")
+        assert re.search(line, out, re.M), out
+
     @pytest.mark.filterwarnings("error")
     def test_weight_beyond_the_potential_bound_fails_quietly(self, solved_dir, capsys):
         """A weight of 1e300 is about 10**306 cost units, beyond int64: it

@@ -85,18 +85,17 @@ def reference_cost(inst, centers: CenterSet, asg: BalancedAssignment) -> float:
 
 
 def reference_guard(inst, res, current: CenterSet, candidate: CenterSet) -> np.ndarray:
-    asg, sol = res.assignment, res.flow_solution
-    now = sol.supply_potentials[asg.block_indices] + sol.demand_potentials[asg.center_indices]
-    moved = res.cost_model.paired_costs(
-        row_major(inst)[asg.block_indices], candidate.positions[asg.center_indices]
-    )
+    asg = res.assignment
+    locs = row_major(inst)[asg.block_indices]
+    entries = np.arange(len(asg.persons))
 
-    def cost_per_center(own):
+    def cost_per_center(positions):
+        own = res.cost_model.int_costs(locs, positions)[entries, asg.center_indices]
         totals = np.zeros(current.k, dtype=np.int64)
         np.add.at(totals, asg.center_indices, asg.persons * own)
         return totals
 
-    accept = cost_per_center(moved) < cost_per_center(now)
+    accept = cost_per_center(candidate.positions) < cost_per_center(current.positions)
     return np.where(accept[:, None], candidate.positions, current.positions)
 
 

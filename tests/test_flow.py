@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -112,21 +113,11 @@ class TestDualCertificate:
             inst = random_instance(rng)
             sol = flow.solve_mcf(inst)
             primal = sol.objective
+            u = flow.supply_potentials(inst.costs, sol.demand_potentials)
             dual = int(np.dot(inst.demands, sol.demand_potentials)) + int(
-                np.dot(inst.supplies, sol.supply_potentials)
+                np.dot(inst.supplies, u)
             )
             assert primal == dual
-
-    def test_supply_potentials_are_the_row_minima(self):
-        # the read-out takes them off the flow entries, and only for rows
-        # without supply from their costs; both must equal the full pass
-        rng = np.random.default_rng(11)
-        solved = [(inst, flow.solve_mcf(inst)) for inst in map(random_instance, [rng] * 200)]
-        solved += [solved_fortran_instance(seed)[1:] for seed in range(3)]
-        assert any(0 < np.count_nonzero(i.supplies == 0) < i.n_supply for i, _ in solved)
-        for inst, sol in solved:
-            full = flow.supply_potentials(inst.costs, sol.demand_potentials)
-            assert np.array_equal(sol.supply_potentials, full)
 
     def test_certify_rejects_tampered_objective(self):
         inst = flow.TransshipmentInstance(costs=[[7]], supplies=[1], demands=[1])
@@ -135,7 +126,6 @@ class TestDualCertificate:
             supply_idx=sol.supply_idx,
             demand_idx=sol.demand_idx,
             amounts=sol.amounts,
-            supply_potentials=sol.supply_potentials,
             demand_potentials=sol.demand_potentials,
             objective=sol.objective + 1,
         )
@@ -143,20 +133,88 @@ class TestDualCertificate:
             flow.certify(inst, bad)
 
     def test_certify_rejects_tampered_potentials(self):
+        # v = [0, 6] makes row 0's reduced costs [0, -1]: its entry at
+        # demand 0 is not the least, and the message names it
         inst = flow.TransshipmentInstance(
             costs=[[0, 5], [5, 0]], supplies=[1, 1], demands=[1, 1]
         )
         sol = flow.solve_mcf(inst)
+        assert sol.demand_potentials.tolist() == [0, 0]
         bad = flow.FlowSolution(
             supply_idx=sol.supply_idx,
             demand_idx=sol.demand_idx,
             amounts=sol.amounts,
-            supply_potentials=sol.supply_potentials + 3,
-            demand_potentials=sol.demand_potentials,
+            demand_potentials=sol.demand_potentials + [0, 6],
             objective=sol.objective,
         )
-        with pytest.raises(flow.FlowError):
+        message = (
+            "certificate: not optimal: entry (supply 0, demand 0) has reduced cost 0 "
+            "above its row's least -1"
+        )
+        with pytest.raises(flow.FlowError) as err:
             flow.certify(inst, bad)
+        assert str(err.value) == message
+
+    def test_certify_names_the_first_entry_off_its_row_minimum(self):
+        # raising v[x] past every other cost makes x each row's least, so the
+        # first entry in (supply, demand) order not at x is named
+        rng, inst, sol = solved_fortran_instance(5)
+        for x in (0, int(rng.integers(1, inst.n_demand)), inst.n_demand - 1):
+            v = sol.demand_potentials.copy()
+            v[x] += 2 * 10**6
+            e = int(np.flatnonzero(sol.demand_idx != x)[0])
+            y, w = int(sol.supply_idx[e]), int(sol.demand_idx[e])
+            reduced = int(inst.costs[y, w] - v[w])
+            least = int((inst.costs[y] - v).min())
+            assert least == int(inst.costs[y, x] - v[x]) < reduced
+            with pytest.raises(flow.FlowError) as err:
+                flow.certify(inst, dataclasses.replace(sol, demand_potentials=v))
+            assert str(err.value) == (
+                f"certificate: not optimal: entry (supply {y}, demand {w}) "
+                f"has reduced cost {reduced} above its row's least {least}"
+            )
+
+
+class TestCertifyEntries:
+    """certify rejects entries that do not index the instance with a
+    FlowError. Unchecked, an index of -1 would alias the last row or column
+    and pass, and a larger index or a short amounts array would end in a
+    numpy error."""
+
+    @staticmethod
+    def solved():
+        inst = flow.TransshipmentInstance(
+            costs=[[0, 5, 9], [5, 0, 9], [9, 9, 0]], supplies=[1, 2, 1], demands=[1, 2, 1]
+        )
+        sol = flow.solve_mcf(inst)
+        flow.certify(inst, sol)
+        assert sol.supply_idx.tolist() == [0, 1, 2]
+        assert sol.demand_idx.tolist() == [0, 1, 2]
+        return inst, sol
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    @pytest.mark.parametrize("side", ["supply", "demand"])
+    def test_index_outside_the_instance(self, side, index):
+        inst, sol = self.solved()
+        field = f"{side}_idx"
+        idx = getattr(sol, field).copy()
+        idx[-1] = index  # -1 names the last row and column, which it replaces
+        with pytest.raises(flow.FlowError, match=rf"{side} index outside \[0, 3\)"):
+            flow.certify(inst, dataclasses.replace(sol, **{field: idx}))
+
+    @pytest.mark.parametrize("field", ["supply_idx", "demand_idx", "amounts"])
+    def test_entry_arrays_of_unequal_lengths(self, field):
+        inst, sol = self.solved()
+        short = dataclasses.replace(sol, **{field: getattr(sol, field)[:-1]})
+        with pytest.raises(flow.FlowError, match="wrong lengths"):
+            flow.certify(inst, short)
+
+    def test_potentials_of_the_wrong_length(self):
+        inst, sol = self.solved()
+        for v in ([0, 0], [0, 0, 0, 0]):
+            bad = dataclasses.replace(sol, demand_potentials=np.array(v, dtype=np.int64))
+            with pytest.raises(flow.FlowError, match="wrong lengths"):
+                flow.certify(inst, bad)
 
 
 def solved_fortran_instance(seed, n=200, k=7):
@@ -176,38 +234,38 @@ def solved_fortran_instance(seed, n=200, k=7):
 
 
 class TestCertifyColumns:
-    """certify checks dual feasibility one column at a time; each single
+    """certify takes the row minima one column at a time; each single
     change below must still be caught."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_one_supply_potential_raised(self, seed):
-        rng, inst, sol = solved_fortran_instance(seed)
-        for y in (0, int(rng.integers(1, inst.n_supply)), inst.n_supply - 1):
-            u = sol.supply_potentials.copy()
-            u[y] += 1
-            with pytest.raises(flow.FlowError, match="dual infeasible"):
-                flow.certify(inst, dataclasses.replace(sol, supply_potentials=u))
-
-    @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
-        "shift, message", [(1, "dual infeasible"), (-1, "complementary slackness")]
+        "shift, broken", [(1, "dual infeasible"), (-1, "complementary slackness")]
     )
-    def test_one_demand_potential_changed(self, seed, shift, message):
+    def test_one_demand_potential_changed(self, seed, shift, broken):
+        # Raising v[x] by one makes x cheaper than the entry of a row that
+        # tied x elsewhere: the supply potentials read off the entries turn
+        # dual infeasible. Lowering it lifts the entries at x of rows tied
+        # elsewhere above their row minima: complementary slackness fails.
+        # Either way certify names an entry off its row's least, away from x
+        # or at x.
         rng, inst, sol = solved_fortran_instance(seed)
         for x in (0, int(rng.integers(1, inst.n_demand)), inst.n_demand - 1):
             v = sol.demand_potentials.copy()
             v[x] += shift
-            with pytest.raises(flow.FlowError, match=message):
+            with pytest.raises(flow.FlowError, match="not optimal") as err:
                 flow.certify(inst, dataclasses.replace(sol, demand_potentials=v))
+            named = int(re.search(r"demand (\d+)\)", str(err.value)).group(1))
+            assert (named == x) == (shift < 0), broken
 
     @pytest.mark.parametrize("seed", range(4))
     def test_flow_moved_onto_a_loose_arc(self, seed):
         # one unit of y1 moves from x1 to x2 and one of y2 back from x2 to
         # x1: conservation holds, the objective is recomputed, and (y1, x2)
-        # has positive reduced cost, so only slackness can fail
+        # has positive reduced cost, so only optimality can fail
         _, inst, sol = solved_fortran_instance(seed)
         C = inst.costs
-        u, v = sol.supply_potentials, sol.demand_potentials
+        v = sol.demand_potentials
+        u = flow.supply_potentials(C, v)
         F = np.zeros(C.shape, dtype=np.int64)
         F[sol.supply_idx, sol.demand_idx] = sol.amounts
         y1, x1, x2, y2 = next(
@@ -230,7 +288,7 @@ class TestCertifyColumns:
             amounts=F[ys, xs],
             objective=int((F * C).sum()),
         )
-        with pytest.raises(flow.FlowError, match="complementary slackness"):
+        with pytest.raises(flow.FlowError, match="not optimal"):
             flow.certify(inst, bad)
 
 
@@ -253,9 +311,7 @@ class TestLayouts:
                 sols.append(flow.solve_mcf(inst, warm_potentials=warm))
                 flow.certify(inst, sols[-1])
             row, col = sols
-            for field in (
-                "supply_idx", "demand_idx", "amounts", "supply_potentials", "demand_potentials"
-            ):
+            for field in ("supply_idx", "demand_idx", "amounts", "demand_potentials"):
                 assert np.array_equal(getattr(row, field), getattr(col, field)), field
             assert row.objective == col.objective
             assert row.stats == col.stats

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from districtor import flow
 from districtor.assignment import ScaledCostPolicy, solve_balanced
 from districtor.lloyd import (
     LloydConfig,
@@ -129,8 +130,8 @@ class TestCentroidStep:
             assert after <= before * (1 + 1e-12) + 1e-12
 
     def test_guard_matches_full_cost_matrices(self):
-        # the guard reads current costs from the duals and prices only each
-        # entry's own candidate center; the full int_costs matrices agree
+        # the guard prices each entry at its own current and candidate
+        # centers only; the full int_costs matrices agree
         inst = gaussian_instance(seed=12, n=300, m=9000, k=5)
         centers = seed_centers(inst, 5, 0)
         for _ in range(6):
@@ -139,7 +140,9 @@ class TestCentroidStep:
             locs = inst.locations()[asg.block_indices]
             entries = np.arange(len(asg.persons))
             now = res.cost_model.int_costs(locs, centers.positions)[entries, asg.center_indices]
-            duals = sol.supply_potentials[asg.block_indices] + sol.demand_potentials[asg.center_indices]
+            costs = res.cost_model.int_costs(inst.locations(), centers.positions)
+            u = flow.supply_potentials(costs, sol.demand_potentials)
+            duals = u[asg.block_indices] + sol.demand_potentials[asg.center_indices]
             assert np.array_equal(duals, now)
 
             def per_center(positions):
